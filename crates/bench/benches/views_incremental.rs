@@ -15,6 +15,12 @@
 //! only. The fresh arm's cost grows with the corpus; the incremental
 //! arm's tracks the batch, so the gap widens with corpus size.
 //!
+//! A third arm, `emerging_same_day`, prices the §4.1 emerging-topics view
+//! on the many-posts-per-day path: each iteration appends a few posts
+//! dated on the forum's last day, then asks `EmergingTopics`. The view
+//! carries a miner settled one day short of the last day, so the append
+//! costs one tail window rather than a re-mine of the whole forum.
+//!
 //! Run with `BENCH_JSON=results/BENCH_views.json` (or via
 //! `scripts/bench_json.sh`) to export the medians.
 
@@ -22,6 +28,7 @@ use bench::bench_forum;
 use conference::dataset::{generate, DatasetConfig};
 use conference::records::{EngagementMetric, NetworkMetric, SessionRecord};
 use criterion::{criterion_group, criterion_main, Criterion};
+use social::post::Post;
 use std::hint::black_box;
 use usaas::{Query, UsaasService};
 
@@ -79,6 +86,9 @@ fn hot_queries() -> Vec<Query> {
     queries
 }
 
+/// Posts in the `emerging_same_day` append.
+const SAME_DAY_POSTS: usize = 8;
+
 /// The fixed append absorbed every iteration.
 fn batch() -> Vec<SessionRecord> {
     generate(&DatasetConfig::small(BATCH, 0xBEE)).sessions
@@ -134,6 +144,30 @@ fn bench_views_incremental(c: &mut Criterion) {
             })
         });
     }
+
+    // Same-day arm: the forum's last posts re-dated to its last day, so
+    // every append lands on the day the emerging view last mined.
+    let (_, last) = forum.date_range().expect("bench forum is non-empty");
+    let same_day: Vec<Post> = forum.posts[forum.len() - SAME_DAY_POSTS..]
+        .iter()
+        .cloned()
+        .map(|mut p| {
+            p.date = last;
+            p
+        })
+        .collect();
+    let svc = UsaasService::build(
+        generate(&DatasetConfig::small(1_000, 0xA11)),
+        forum.clone(),
+        WORKERS,
+    );
+    let _ = svc.query(&Query::EmergingTopics);
+    group.bench_function("emerging_same_day", |b| {
+        b.iter(|| {
+            black_box(svc.append_batch(Vec::new(), same_day.clone()));
+            black_box(svc.query(&Query::EmergingTopics)).ok();
+        })
+    });
     group.finish();
 }
 

@@ -201,12 +201,17 @@ impl EmergingTopicMiner {
 
     /// Evaluate every window from `state.cursor` through `state.end`,
     /// updating the carried history/detections and leaving the cursor at
-    /// the first unevaluated window. Because the loop only ever reads
-    /// posts dated `<= state.end`, a state paused here and resumed after
-    /// an append of strictly-later posts (with `state.end` raised to the
-    /// new maximum) walks exactly the windows a cold run over the full
-    /// forum would — the incremental contract of
-    /// [`crate::views::EmergingTopicsView`].
+    /// the first unevaluated window. The loop only ever reads posts dated
+    /// `<= state.end` (and [`EmergingTopicMiner::mine_start`]'s pre-load
+    /// only the first window), so a run split at any day — run to
+    /// `end = d`, then raise `end` and run again — walks exactly the
+    /// windows of one cold run, and posts appended between the two runs
+    /// count as long as they are dated after
+    /// `max(d, start + window_days − 1)`.
+    /// [`crate::views::EmergingTopicsView`] relies on this: it keeps a
+    /// state settled at `last − 1`, which absorbs posts dated on or after
+    /// the last mined day, and runs a clone of it through the one tail
+    /// window ending on `last`.
     pub(crate) fn mine_run(&self, forum: &Forum, corpus: &TokenCorpus, state: &mut MineState) {
         let analyzer = SentimentAnalyzer::default();
         let vocab = corpus.vocab();
@@ -282,9 +287,12 @@ impl EmergingTopicMiner {
 
 /// The interned miner's resumable position: everything
 /// [`EmergingTopicMiner::mine_run`] needs to evaluate the next window.
-/// Dates strictly after `end` have not influenced any of it, which is what
-/// lets [`crate::views::EmergingTopicsView`] carry one of these across an
-/// append of later-dated posts and resume instead of re-mining history.
+/// Dates strictly after `max(end, start + window_days − 1)` (the evaluated
+/// windows and the history pre-load) have not influenced any of it, which
+/// is what lets [`crate::views::EmergingTopicsView`] carry one settled at
+/// the forum's last day minus one across an append of posts dated on or
+/// after the last mined day, and resume instead of re-mining history.
+/// Posts dated earlier, or inside the pre-load window, force a rebuild.
 #[derive(Debug, Clone)]
 pub(crate) struct MineState {
     /// First forum day (fixed; an earlier-dated append invalidates the
@@ -403,6 +411,42 @@ mod tests {
         let before = terms.len();
         terms.dedup();
         assert_eq!(before, terms.len(), "one detection per term");
+    }
+
+    /// The settled + tail contract: a run split at any day `d` — run to
+    /// `end = d`, clone, then run the clone to the forum's end — reaches
+    /// exactly the state of one cold run, detections included.
+    #[test]
+    fn split_runs_match_one_cold_run() {
+        let miner = EmergingTopicMiner::default();
+        let forum = forum();
+        let corpus = forum.token_corpus(2);
+        let cold = format!("{:?}", miner.mine_interned(forum, &corpus).unwrap());
+        let (start, end) = forum.date_range().unwrap();
+        let span = end.days_since(start);
+        let splits = [
+            start.offset(-1),
+            start,
+            start.offset(miner.window_days - 1),
+            start.offset(miner.window_days),
+            start.offset(span / 2),
+            d(2022, 2, 20),
+            end.offset(-1),
+            end,
+        ];
+        for split in splits {
+            let mut settled = miner.mine_start(forum, &corpus).unwrap();
+            settled.end = split;
+            miner.mine_run(forum, &corpus, &mut settled);
+            let mut resumed = settled.clone();
+            resumed.end = end;
+            miner.mine_run(forum, &corpus, &mut resumed);
+            assert_eq!(
+                format!("{:?}", resumed.detections()),
+                cold,
+                "split at {split} diverged from the cold run"
+            );
+        }
     }
 
     #[test]

@@ -45,6 +45,7 @@ use crate::outage::{DetectedOutage, OutageDetector};
 use crate::predict::{self, Evaluation, FeatureSet};
 use analytics::binning::{BinSpec, BinnedCurve, SumBinner};
 use analytics::kernels;
+use analytics::time::Date;
 use analytics::timeseries::DailySeries;
 use analytics::AnalyticsError;
 use conference::platform::Platform;
@@ -705,29 +706,68 @@ impl SpeedTrendView {
     }
 }
 
-/// §4.1 view: the emerging-topic miner paused at its cursor. The carried
-/// [`MineState`] depends only on posts dated at or before `state.end`, so
-/// an append whose posts are all strictly later resumes the window loop
-/// where it stopped — O(new windows) instead of re-mining from day one. An
-/// out-of-order (backdated) post would have changed already-evaluated
-/// windows, so it drops the view for a cold relazy rebuild. The carried
+/// §4.1 view: a *settled* emerging-topic miner plus the finished
+/// detections. The settled [`MineState`] has evaluated every window that
+/// ends before the forum's last day (`settled.end = last − 1`); the
+/// detections come from a clone of it run one window further, to `last`.
+/// The settled state has read no post dated after
+/// `max(settled.end, settled.start + window_days − 1)` (the pre-load
+/// window included), so an append whose posts are all dated after that day
+/// — in particular posts on or after the last mined day, the common
+/// many-posts-per-day case — resumes from the settled state: the new
+/// windows plus one tail window instead of a re-mine from day one,
+/// walking exactly the windows a cold run would. A post dated before the
+/// last day, or one inside the pre-load window, would have changed
+/// already-evaluated windows, so it drops the view for a cold lazy
+/// rebuild. The carried
 /// `Result` mirrors the cold path's empty-forum error, keeping error
 /// answers bit-identical too.
 #[derive(Clone)]
 pub struct EmergingTopicsView {
     docs_seen: usize,
-    state: Result<MineState, AnalyticsError>,
+    state: Result<SettledMine, AnalyticsError>,
+}
+
+/// The settled miner and the detections of its one-window tail.
+#[derive(Clone)]
+struct SettledMine {
+    settled: MineState,
+    detections: Vec<EmergingTopic>,
+}
+
+impl SettledMine {
+    /// Run `settled` through every window ending before `last`, the
+    /// forum's last day, then a clone of it through the tail to `last`.
+    fn mined(
+        forum: &Forum,
+        corpus: &TokenCorpus,
+        mut settled: MineState,
+        last: Date,
+    ) -> SettledMine {
+        let miner = EmergingTopicMiner::default();
+        settled.end = last.offset(-1);
+        miner.mine_run(forum, corpus, &mut settled);
+        let mut tail = settled.clone();
+        tail.end = last;
+        miner.mine_run(forum, corpus, &mut tail);
+        SettledMine {
+            settled,
+            detections: tail.detections(),
+        }
+    }
 }
 
 impl EmergingTopicsView {
-    /// Cold rebuild: run the miner to the end of the forum and keep its
-    /// state.
+    /// Cold rebuild: settle the miner one day short of the forum's end and
+    /// finish the tail.
     pub(crate) fn rebuild(forum: &Forum, corpus: &TokenCorpus) -> EmergingTopicsView {
-        let miner = EmergingTopicMiner::default();
-        let state = miner.mine_start(forum, corpus).map(|mut s| {
-            miner.mine_run(forum, corpus, &mut s);
-            s
-        });
+        let state = EmergingTopicMiner::default()
+            .mine_start(forum, corpus)
+            .map(|s| {
+                // `mine_start` fixes `end` at the forum's last day.
+                let last = s.end;
+                SettledMine::mined(forum, corpus, s, last)
+            });
         EmergingTopicsView {
             docs_seen: forum.len(),
             state,
@@ -740,23 +780,37 @@ impl EmergingTopicsView {
             return None;
         }
         let new_posts = &delta.forum.posts[delta.posts_before..];
+        if new_posts.is_empty() {
+            return Some(self.clone());
+        }
         let state = match &self.state {
             // Previously empty forum: everything is delta, mine whole.
             Err(_) => return Some(EmergingTopicsView::rebuild(delta.forum, corpus)),
             Ok(prior) => {
-                // A post dated at or before the mined range would have
-                // changed already-evaluated windows (or the history
-                // pre-load): drop and rebuild lazily.
-                if new_posts.iter().any(|p| p.date <= prior.end) {
+                // The latest day the settled state has read. A post dated
+                // at or before it would have changed already-evaluated
+                // windows (or the history pre-load): drop and rebuild
+                // lazily.
+                let settled = &prior.settled;
+                let read_through = settled.end.max(
+                    settled
+                        .start
+                        .offset(EmergingTopicMiner::default().window_days - 1),
+                );
+                if new_posts.iter().any(|p| p.date <= read_through) {
                     return None;
                 }
-                let mut next = prior.clone();
-                if let Some((start, end)) = delta.forum.date_range() {
-                    debug_assert_eq!(start, next.start, "later-dated posts keep the range start");
-                    next.end = end;
-                    EmergingTopicMiner::default().mine_run(delta.forum, corpus, &mut next);
-                }
-                Ok(next)
+                let (start, last) = delta.forum.date_range()?;
+                debug_assert_eq!(
+                    start, settled.start,
+                    "later-dated posts keep the range start"
+                );
+                Ok(SettledMine::mined(
+                    delta.forum,
+                    corpus,
+                    settled.clone(),
+                    last,
+                ))
             }
         };
         Some(EmergingTopicsView {
@@ -765,10 +819,14 @@ impl EmergingTopicsView {
         })
     }
 
-    /// Finishing pass: the canonical detection ordering over the carried
-    /// state.
+    /// Finishing pass: the tail's detections, already in canonical order.
     pub(crate) fn finish(&self) -> Result<Vec<EmergingTopic>, AnalyticsError> {
-        Ok(self.state.as_ref().map_err(Clone::clone)?.detections())
+        Ok(self
+            .state
+            .as_ref()
+            .map_err(Clone::clone)?
+            .detections
+            .clone())
     }
 }
 
@@ -795,7 +853,7 @@ pub enum View {
     Deployment(DeploymentView),
     /// Fig. 7 per-post memo.
     SpeedTrend(SpeedTrendView),
-    /// §4.1 paused miner.
+    /// §4.1 settled miner + tail detections.
     EmergingTopics(EmergingTopicsView),
 }
 

@@ -29,7 +29,7 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 use usaas::{
     journal_record_offsets, FeatureSet, IngestConfig, ItemSource, Query, RawItem, Source,
-    UsaasService, JOURNAL_FILE,
+    UsaasService, ViewKey, JOURNAL_FILE,
 };
 
 /// Worker counts exercised by every parity check: the inline single-chunk
@@ -92,6 +92,25 @@ fn later_posts() -> &'static Vec<Post> {
     })
 }
 
+/// A slice of [`later_posts`] re-dated to the service's current last
+/// forum day: the many-posts-per-day append the emerging-topics view
+/// carries from its settled state instead of re-mining.
+fn same_last_day_posts(svc: &UsaasService, range: std::ops::Range<usize>) -> Vec<Post> {
+    let (_, last) = svc
+        .snapshot()
+        .forum()
+        .date_range()
+        .expect("the forum is non-empty");
+    later_posts()[range]
+        .iter()
+        .cloned()
+        .map(|mut p| {
+            p.date = last;
+            p
+        })
+        .collect()
+}
+
 /// Every query the view layer serves, plus the two outage-derived queries
 /// (`OutageTimeline`, `CrossNetwork`) that share the outage view through
 /// the detection cache.
@@ -132,8 +151,8 @@ fn hot_queries() -> Vec<Query> {
 
 /// Apply append op `tag` to a service. The pool covers every batch shape
 /// the views must absorb: sessions-only, posts-only (backdated and
-/// strictly-later), mixed, empty, and fully-quarantined (every item a
-/// poison pill, nothing committed).
+/// strictly-later), same-last-day posts, mixed, empty, and
+/// fully-quarantined (every item a poison pill, nothing committed).
 fn apply_op(svc: &UsaasService, tag: u8) {
     let posts = extra_posts();
     match tag {
@@ -167,6 +186,9 @@ fn apply_op(svc: &UsaasService, tag: u8) {
         6 => {
             let later = later_posts();
             svc.append_batch(Vec::new(), later[..25.min(later.len())].to_vec());
+        }
+        7 => {
+            svc.append_batch(Vec::new(), same_last_day_posts(svc, 25..35));
         }
         _ => panic!("unknown op {tag}"),
     }
@@ -209,7 +231,7 @@ mod properties {
         /// exactly, so string equality is bit equality).
         #[test]
         fn incremental_views_match_cold_rebuild(
-            schedule in prop::collection::vec(0u8..7, 0..5),
+            schedule in prop::collection::vec(0u8..8, 0..5),
         ) {
             let mut per_worker = Vec::new();
             for workers in WORKER_COUNTS {
@@ -260,6 +282,84 @@ fn noop_batches_leave_views_intact() {
                 "no-op batches left views out of sync with a cold rebuild"
             );
         }
+    }
+}
+
+/// The emerging-topics view absorbs posts dated on the last mined day
+/// without being dropped (no query in between re-installs it), drops on a
+/// post dated before the last day, and serves cold-rebuild answers on the
+/// edge forums: one spanning fewer days than the miner's window (its last
+/// day inside the pre-load window) and the empty forum.
+#[test]
+fn emerging_view_carries_same_day_posts_and_drops_backdated_ones() {
+    let installed = |svc: &UsaasService| {
+        svc.snapshot()
+            .views()
+            .keys()
+            .contains(&ViewKey::EmergingTopics)
+    };
+    let assert_fresh = |svc: &UsaasService, step: &str| {
+        let q = Query::EmergingTopics;
+        assert_eq!(
+            format!("{:?}", svc.query(&q)),
+            format!("{:?}", svc.snapshot().answer_fresh(&q)),
+            "emerging answer diverged from a cold rebuild after {step}"
+        );
+    };
+
+    let svc = UsaasService::build(base_dataset().clone(), base_forum().clone(), 2);
+    let _ = svc.query(&Query::EmergingTopics);
+    for range in [0..5, 5..10] {
+        svc.append_batch(Vec::new(), same_last_day_posts(&svc, range));
+        assert!(
+            installed(&svc),
+            "a same-last-day append must carry the view"
+        );
+    }
+    svc.append_batch(Vec::new(), later_posts()[10..15].to_vec());
+    assert!(
+        installed(&svc),
+        "a strictly-later append must carry the view"
+    );
+    assert_fresh(&svc, "same-day and later appends");
+    svc.append_batch(Vec::new(), extra_posts()[..3].to_vec());
+    assert!(!installed(&svc), "a backdated post must drop the view");
+    assert_fresh(&svc, "a backdated append");
+
+    // A three-day forum: every day lies inside the pre-load window, so
+    // even a same-day append drops the view; appends past the window
+    // carry it. An empty forum answers the empty error until its first
+    // posts arrive, which it mines whole, then follows the same pattern.
+    let later = later_posts();
+    let first = later[0].date;
+    let short = Forum {
+        posts: later
+            .iter()
+            .filter(|p| p.date <= first.offset(2))
+            .cloned()
+            .collect(),
+    };
+    let past_window: Vec<Post> = later
+        .iter()
+        .filter(|p| p.date > first.offset(14))
+        .cloned()
+        .collect();
+    assert!(past_window.len() >= 20, "fixture has posts past the window");
+    for (forum, first_carried) in [(short, false), (Forum::default(), true)] {
+        let svc = UsaasService::build(base_dataset().clone(), forum, 2);
+        assert_fresh(&svc, "build");
+        let mut step = 0;
+        let mut append = |posts: Vec<Post>, carried: bool| {
+            svc.append_batch(Vec::new(), posts);
+            step += 1;
+            assert_eq!(installed(&svc), carried, "view carried after append {step}");
+            assert_fresh(&svc, &format!("append {step}"));
+        };
+        append(later[..3].to_vec(), first_carried);
+        append(same_last_day_posts(&svc, 3..6), false);
+        append(past_window[..10].to_vec(), true);
+        append(same_last_day_posts(&svc, 6..9), true);
+        append(past_window[10..20].to_vec(), true);
     }
 }
 
