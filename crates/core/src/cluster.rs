@@ -33,8 +33,8 @@ use crate::persist::{
 };
 use crate::predict;
 use crate::service::{
-    country_lat_band, Answer, BoundedLog, CrossNetworkReport, Generation, Query, QueryKey,
-    ServiceHealth, UsaasError, UsaasService, DEAD_LETTER_CAP, RECOVERY_WARNING_CAP,
+    country_lat_band, merged_range, Answer, BoundedLog, CrossNetworkReport, Generation, Query,
+    QueryKey, ServiceHealth, UsaasError, UsaasService, DEAD_LETTER_CAP, RECOVERY_WARNING_CAP,
 };
 use crate::source::{ItemSource, RawItem, Source};
 use crate::store::SignalStore;
@@ -199,15 +199,6 @@ fn merged_sparse<T>(maps: &[Vec<usize>], parts: Vec<(Vec<usize>, Vec<T>)>) -> Ve
         }
     }
     out.into_iter().flatten().collect()
-}
-
-/// Merge per-partition date ranges into the global `(min, max)` — the same
-/// min/max fold [`Forum::date_range`] runs over the merged forum.
-fn merged_range(ranges: impl IntoIterator<Item = Option<(Date, Date)>>) -> Option<(Date, Date)> {
-    ranges
-        .into_iter()
-        .flatten()
-        .reduce(|(lo, hi), (a, b)| (lo.min(a), hi.max(b)))
 }
 
 /// Scatter a closure across every partition's pinned generation, one scoped
@@ -458,7 +449,7 @@ impl ClusterSnapshot {
                             adds.push((post.date, h as f64));
                         }
                     }
-                    (g.forum().date_range(), locals, adds)
+                    (g.date_range(), locals, adds)
                 });
                 let (start, end) = match merged_range(parts.iter().map(|p| p.0)) {
                     Some(r) => r,
@@ -761,7 +752,7 @@ impl ClusterSnapshot {
                     *day.entry(vocab.word(id).to_string()).or_insert(0.0) += w;
                 }
             }
-            (g.forum().date_range(), days)
+            (g.date_range(), days)
         });
         let (start, end) = merged_range(parts.iter().map(|p| p.0))
             .ok_or(UsaasError::Analytics(AnalyticsError::Empty))?;
@@ -1909,4 +1900,45 @@ fn read_meta(dir: &Path) -> Result<usize, PersistError> {
         return Err(corrupt("implausible partition count"));
     }
     Ok(partitions)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use conference::dataset::{generate, DatasetConfig};
+    use social::generator::{generate as gen_forum, ForumConfig};
+
+    #[test]
+    fn a_partition_given_no_post_shares_its_forum() {
+        let forum = gen_forum(&ForumConfig {
+            authors: 150,
+            end: Date::from_ymd(2021, 2, 15).unwrap(),
+            ..ForumConfig::default()
+        });
+        let tail = forum.posts.last().expect("non-empty forum");
+        let post = Post {
+            date: tail.date.offset(1),
+            ..tail.clone()
+        };
+        let cluster =
+            PartitionedService::build(generate(&DatasetConfig::small(300, 5)), forum, 4, 2);
+        let target = cluster.ring.partition_of(post.author_id);
+        let before: Vec<Arc<Generation>> =
+            cluster.parts.iter().map(UsaasService::snapshot).collect();
+        cluster.append_batch(generate(&DatasetConfig::small(60, 9)).sessions, vec![post]);
+        let after: Vec<Arc<Generation>> =
+            cluster.parts.iter().map(UsaasService::snapshot).collect();
+        let mut committed_without_posts = 0;
+        for (p, (b, a)) in before.iter().zip(&after).enumerate() {
+            let shared = std::ptr::eq(b.forum(), a.forum());
+            assert_eq!(shared, p != target, "partition {p}");
+            if p != target && a.epoch() > b.epoch() {
+                committed_without_posts += 1;
+            }
+        }
+        assert!(
+            committed_without_posts > 0,
+            "some partition must commit sessions but no post"
+        );
+    }
 }

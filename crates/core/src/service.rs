@@ -34,6 +34,7 @@ use crate::views::{
     PredictView, SentimentView, SpeedTrendView, View, ViewDelta, ViewKey, ViewSet,
 };
 use analytics::binning::BinnedCurve;
+use analytics::time::Date;
 use analytics::{kernels, AnalyticsError};
 use conference::platform::Platform;
 use conference::records::{CallDataset, EngagementMetric, NetworkMetric, SessionRecord};
@@ -349,7 +350,14 @@ pub struct Generation {
     /// Structurally-shared session records: appends push one chunk instead
     /// of copying the corpus.
     sessions: SessionChunks,
-    forum: Forum,
+    /// The forum's posts in commit order. A commit whose batch holds no
+    /// post shares this with its base generation by reference; a commit
+    /// with posts clones it once and appends the batch.
+    forum: Arc<Forum>,
+    /// `forum.date_range()`, computed once per generation: the base
+    /// generation's range folded with the batch's post dates at commit, so
+    /// views and finishing passes never rescan the forum for it.
+    date_range: Option<(Date, Date)>,
     /// Columnar mirror of the session chunks, materialised lazily on the
     /// first query that actually scans columns. Commits never build it:
     /// view-backed answers finish carried accumulators fed straight from
@@ -362,9 +370,10 @@ pub struct Generation {
     workers: usize,
     /// Tokenize-once interned mirror of the forum, built lazily on the
     /// first §4 text query (chunk-parallel over `workers`) and shared by
-    /// every sentiment/keyword/n-gram consumer. Appends grow it
-    /// incrementally (existing ids never move) when it was already built.
-    social_corpus: OnceLock<TokenCorpus>,
+    /// every sentiment/keyword/n-gram consumer. When it was already built,
+    /// a post-free append shares it by reference and an append with posts
+    /// clones and grows it (existing ids never move).
+    social_corpus: OnceLock<Arc<TokenCorpus>>,
     /// Default-detector outage run, computed once and shared by the
     /// `OutageTimeline` and `CrossNetwork` queries (both need the same
     /// detection pass; the corpus is immutable within a generation).
@@ -385,17 +394,18 @@ impl Generation {
     fn new(
         epoch: u64,
         sessions: SessionChunks,
-        forum: Forum,
-        frame: OnceLock<SessionFrame>,
+        forum: Arc<Forum>,
+        date_range: Option<(Date, Date)>,
         workers: usize,
-        social_corpus: OnceLock<TokenCorpus>,
+        social_corpus: OnceLock<Arc<TokenCorpus>>,
         views: ViewSet,
     ) -> Generation {
         Generation {
             epoch,
             sessions,
             forum,
-            frame,
+            date_range,
+            frame: OnceLock::new(),
             workers,
             social_corpus,
             outage_cache: OnceLock::new(),
@@ -442,7 +452,13 @@ impl Generation {
     /// never perturbs query results.
     pub fn social_corpus(&self) -> &TokenCorpus {
         self.social_corpus
-            .get_or_init(|| self.forum.token_corpus(self.workers))
+            .get_or_init(|| Arc::new(self.forum.token_corpus(self.workers)))
+    }
+
+    /// Earliest and latest post dates of this generation's forum, `None`
+    /// when it is empty — equal to [`Forum::date_range`], without the scan.
+    pub(crate) fn date_range(&self) -> Option<(Date, Date)> {
+        self.date_range
     }
 
     /// The shared default-detector outage detections, computed on first use
@@ -616,8 +632,7 @@ impl Generation {
                 // Same month-range derivation (and empty-forum error) as
                 // the full compute path.
                 let (first, last) = self
-                    .forum
-                    .date_range()
+                    .date_range
                     .map(|(a, b)| (a.month(), b.month()))
                     .ok_or(UsaasError::NoData("empty forum"))?;
                 Ok(Answer::Speeds(v.finish(&self.forum, first, last)?))
@@ -1028,19 +1043,20 @@ impl UsaasService {
     pub fn build(dataset: CallDataset, forum: Forum, workers: usize) -> UsaasService {
         let store = SignalStore::new();
         crate::ingest::ingest_all(&store, &dataset, &forum, workers);
-        // The build-time frame is materialised eagerly (it is needed by the
-        // first cold query anyway) and pre-fills the lazy cell.
-        let frame_cell = OnceLock::new();
-        let _ = frame_cell.set(SessionFrame::from_dataset(&dataset, workers));
+        let frame = SessionFrame::from_dataset(&dataset, workers);
+        let date_range = forum.date_range();
         let generation = Generation::new(
             0,
             SessionChunks::from_vec(dataset.sessions),
-            forum,
-            frame_cell,
+            Arc::new(forum),
+            date_range,
             workers,
             OnceLock::new(),
             ViewSet::default(),
         );
+        // The build-time frame is materialised eagerly (it is needed by the
+        // first cold query anyway) and pre-fills the lazy cell.
+        let _ = generation.frame.set(frame);
         UsaasService {
             store: Arc::new(store),
             current: RwLock::new(Arc::new(generation)),
@@ -1107,23 +1123,23 @@ impl UsaasService {
         let oldest_live_seq = records.first().map(|r| r.seq).unwrap_or(0);
 
         let forum = Forum { posts: state.posts };
+        let date_range = forum.date_range();
         let corpus_cell = OnceLock::new();
         if let Some(corpus) = state.corpus {
-            let _ = corpus_cell.set(corpus);
+            let _ = corpus_cell.set(Arc::new(corpus));
         }
-        // The snapshot carries the frame; pre-fill the lazy cell so queries
-        // on the recovered generation never re-materialise it.
-        let frame_cell = OnceLock::new();
-        let _ = frame_cell.set(state.frame);
         let generation = Generation::new(
             state.epoch,
             SessionChunks::from_vec(state.sessions),
-            forum,
-            frame_cell,
+            Arc::new(forum),
+            date_range,
             workers,
             corpus_cell,
             ViewSet::default(),
         );
+        // The snapshot carries the frame; pre-fill the lazy cell so queries
+        // on the recovered generation never re-materialise it.
+        let _ = generation.frame.set(state.frame);
         let svc = UsaasService {
             store: Arc::new(state.store),
             current: RwLock::new(Arc::new(generation)),
@@ -1316,7 +1332,7 @@ impl UsaasService {
                 sessions: &generation.sessions,
                 posts: &generation.forum.posts,
                 frame: generation.frame(),
-                corpus: generation.social_corpus.get(),
+                corpus: generation.social_corpus.get().map(Arc::as_ref),
                 store,
                 health,
                 view_keys,
@@ -1628,34 +1644,55 @@ impl UsaasService {
     /// one delta, and the journal order matches the commit order.
     fn commit_locked(&self, sessions: Vec<SessionRecord>, posts: Vec<Post>) {
         let base = self.snapshot();
-        // Re-materialise the corpus only if this generation ever built
-        // one; extension preserves existing ids, so it is bit-identical to
-        // rebuilding over the grown forum.
+        let posts_before = base.forum.len();
         let corpus_cell = OnceLock::new();
-        if let Some(existing) = base.social_corpus.get() {
-            let mut corpus = existing.clone();
-            corpus.extend_with(posts.len(), self.workers, |i, emit| {
-                for part in posts[i].text_parts() {
-                    emit(part);
-                }
-            });
-            let _ = corpus_cell.set(corpus);
-        }
-        let mut forum = base.forum.clone();
-        forum.posts.extend(posts);
+        let forum = if posts.is_empty() {
+            // Nothing text-side changed: the successor shares the forum
+            // and (if built) the corpus by reference.
+            if let Some(existing) = base.social_corpus.get() {
+                let _ = corpus_cell.set(Arc::clone(existing));
+            }
+            Arc::clone(&base.forum)
+        } else {
+            // Re-materialise the corpus only if this generation ever built
+            // one; extension preserves existing ids, so it is bit-identical
+            // to rebuilding over the grown forum.
+            if let Some(existing) = base.social_corpus.get() {
+                let mut corpus = TokenCorpus::clone(existing);
+                corpus.extend_with(posts.len(), self.workers, |i, emit| {
+                    for part in posts[i].text_parts() {
+                        emit(part);
+                    }
+                });
+                let _ = corpus_cell.set(Arc::new(corpus));
+            }
+            let mut all = Vec::with_capacity(posts_before + posts.len());
+            all.extend_from_slice(&base.forum.posts);
+            all.extend(posts);
+            Arc::new(Forum { posts: all })
+        };
+        let date_range = merged_range(
+            std::iter::once(base.date_range).chain(
+                forum.posts[posts_before..]
+                    .iter()
+                    .map(|p| Some((p.date, p.date))),
+            ),
+        );
         // Carry the base generation's materialized views forward, advanced
         // by exactly this batch — an O(delta) fold per view instead of the
         // full-corpus recompute a fresh generation would otherwise pay on
-        // first query. Views are fed the raw delta records, so the commit
-        // never touches the columnar frame: the successor's frame cell
-        // starts empty and materialises from the shared chunks only if a
-        // full-scan query actually needs it.
+        // first query; a view the batch does not touch is shared as is.
+        // Views are fed the raw delta records, so the commit never touches
+        // the columnar frame: the successor's frame cell starts empty and
+        // materialises from the shared chunks only if a full-scan query
+        // actually needs it.
         let views = base.views.advanced(&ViewDelta {
             sessions: &sessions,
             rows_before: base.sessions.len(),
             forum: &forum,
-            posts_before: base.forum.len(),
-            corpus: corpus_cell.get(),
+            posts_before,
+            date_range,
+            corpus: corpus_cell.get().map(Arc::as_ref),
         });
         // Structural sharing: the session records themselves are never
         // copied — the new generation holds the same Arc'd chunks plus one
@@ -1665,7 +1702,7 @@ impl UsaasService {
             base.epoch + 1,
             session_chunks,
             forum,
-            OnceLock::new(),
+            date_range,
             self.workers,
             corpus_cell,
             views,
@@ -1730,6 +1767,18 @@ impl crate::daemon::ServeTarget for UsaasService {
     fn compact_root(&self) -> Option<Result<CompactionReport, PersistError>> {
         None
     }
+}
+
+/// Merge date ranges into their `(min, max)` — the same min/max fold
+/// [`Forum::date_range`] runs, so folding a forum's range with more posts'
+/// dates equals the range of the combined forum.
+pub(crate) fn merged_range(
+    ranges: impl IntoIterator<Item = Option<(Date, Date)>>,
+) -> Option<(Date, Date)> {
+    ranges
+        .into_iter()
+        .flatten()
+        .reduce(|(lo, hi), (a, b)| (lo.min(a), hi.max(b)))
 }
 
 /// Rough 10°-latitude band of a country's population centre.
@@ -2098,6 +2147,122 @@ mod tests {
             "the appended sessions must change the answer"
         );
         assert!(!s.health().is_degraded());
+    }
+
+    /// Posts copied from the forum's tail, re-dated to the day after its
+    /// last day so every text view advances instead of dropping.
+    fn later_posts(g: &Generation, n: usize) -> Vec<Post> {
+        let (_, last) = g.date_range().expect("non-empty forum");
+        g.forum().posts[g.forum().len() - n..]
+            .iter()
+            .map(|p| Post {
+                date: last.offset(1),
+                ..p.clone()
+            })
+            .collect()
+    }
+
+    /// True when `key` is installed in both generations as the same `Arc`.
+    fn shares_view(a: &Generation, b: &Generation, key: ViewKey) -> bool {
+        match (a.views.get(&key), b.views.get(&key)) {
+            (Some(x), Some(y)) => Arc::ptr_eq(&x, &y),
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn post_free_commits_share_the_text_side_and_post_commits_copy_it() {
+        let s = UsaasService::build(
+            generate(&DatasetConfig::small(300, 5)),
+            gen_forum(&ForumConfig {
+                authors: 150,
+                end: Date::from_ymd(2021, 2, 15).unwrap(),
+                ..ForumConfig::default()
+            }),
+            2,
+        );
+        let curve = Query::EngagementCurve {
+            sweep: NetworkMetric::LatencyMs,
+            engagement: EngagementMetric::Presence,
+            bins: 6,
+        };
+        let curve_key = view_key_of(&curve).unwrap();
+        let text_keys = [
+            ViewKey::Sentiment,
+            ViewKey::Outage,
+            ViewKey::Deployment,
+            ViewKey::SpeedTrend,
+            ViewKey::EmergingTopics,
+        ];
+        for q in [
+            curve,
+            Query::SentimentPeaks { k: 3 },
+            Query::OutageTimeline,
+            Query::DeploymentAdvice,
+            Query::SpeedTrend,
+            Query::EmergingTopics,
+        ] {
+            let _ = s.query(&q);
+        }
+        let sessions = |seed| generate(&DatasetConfig::small(40, seed)).sessions;
+
+        // Sessions only: forum, corpus and every text view are shared;
+        // the session view advances.
+        let base = s.snapshot();
+        assert!(text_keys.iter().all(|k| base.views.get(k).is_some()));
+        s.append_batch(sessions(6), Vec::new());
+        let next = s.snapshot();
+        assert_eq!(next.epoch(), base.epoch() + 1);
+        assert!(Arc::ptr_eq(&base.forum, &next.forum));
+        assert!(Arc::ptr_eq(
+            base.social_corpus.get().unwrap(),
+            next.social_corpus.get().unwrap()
+        ));
+        for key in text_keys {
+            assert!(shares_view(&base, &next, key), "{key:?} must be shared");
+        }
+        assert!(next.views.get(&curve_key).is_some());
+        assert!(!shares_view(&base, &next, curve_key));
+        assert_eq!(next.date_range(), base.date_range());
+
+        // Posts only, then sessions with posts: none of the text side is
+        // shared, every text view advances, and the folded date range
+        // equals a scan of the extended forum.
+        for (mixed, seed) in [(false, 7), (true, 8)] {
+            let base = s.snapshot();
+            let batch = if mixed { sessions(seed) } else { Vec::new() };
+            s.append_batch(batch, later_posts(&base, 3));
+            let next = s.snapshot();
+            assert_eq!(next.epoch(), base.epoch() + 1);
+            assert!(!Arc::ptr_eq(&base.forum, &next.forum));
+            assert_eq!(next.forum().len(), base.forum().len() + 3);
+            assert!(!Arc::ptr_eq(
+                base.social_corpus.get().unwrap(),
+                next.social_corpus.get().unwrap()
+            ));
+            for key in text_keys {
+                assert!(next.views.get(&key).is_some(), "{key:?} must advance");
+                assert!(
+                    !shares_view(&base, &next, key),
+                    "{key:?} must not be shared"
+                );
+            }
+            assert_eq!(shares_view(&base, &next, curve_key), !mixed);
+            assert_eq!(next.date_range(), next.forum().date_range());
+            assert_ne!(next.date_range(), base.date_range());
+        }
+
+        // An empty batch and a fully quarantined one commit nothing.
+        let base = s.snapshot();
+        s.append_batch(Vec::new(), Vec::new());
+        s.ingest_append(
+            vec![Box::new(ItemSource::new(
+                "pills",
+                vec![RawItem::Poison("pill"), RawItem::Poison("pill")],
+            ))],
+            &IngestConfig::with_workers(2),
+        );
+        assert!(Arc::ptr_eq(&base, &s.snapshot()));
     }
 
     #[test]

@@ -114,15 +114,24 @@ pub enum ViewKey {
 /// accumulators are bit-identical to column-fed ones). `forum` is the
 /// already-extended post collection with `posts_before` marking where its
 /// delta starts; `rows_before` is the base generation's session count.
-/// `corpus` is the successor's interned corpus when the base generation had
-/// built one (`None` otherwise — corpus-backed views are dropped and lazily
-/// rebuilt).
+/// `date_range` is the extended forum's [`Forum::date_range`], folded once
+/// per commit. `corpus` is the successor's interned corpus when the base
+/// generation had built one (`None` otherwise — corpus-backed views are
+/// dropped and lazily rebuilt).
 pub(crate) struct ViewDelta<'a> {
     pub sessions: &'a [SessionRecord],
     pub rows_before: usize,
     pub forum: &'a Forum,
     pub posts_before: usize,
+    pub date_range: Option<(Date, Date)>,
     pub corpus: Option<&'a TokenCorpus>,
+}
+
+impl ViewDelta<'_> {
+    /// True when the batch holds no post.
+    fn post_free(&self) -> bool {
+        self.forum.len() == self.posts_before
+    }
 }
 
 /// Fig. 1 view: the compressed per-bin `(sum, count)` accumulator behind
@@ -451,7 +460,7 @@ impl SentimentView {
         for doc in delta.posts_before..corpus.docs() {
             scores.push(annotator.analyzer.score_ids(corpus.doc(doc), vocab));
         }
-        let series = match (&self.series, delta.forum.date_range()) {
+        let series = match (&self.series, delta.date_range) {
             (_, None) => Err(AnalyticsError::Empty),
             // Previously empty forum: everything is delta, build whole.
             (Err(_), Some(_)) => annotator.series_from_scores(delta.forum, &scores),
@@ -529,7 +538,7 @@ impl OutageView {
             return None;
         }
         let detector = OutageDetector::default();
-        let series = match (&self.series, delta.forum.date_range()) {
+        let series = match (&self.series, delta.date_range) {
             (_, None) => Err(AnalyticsError::Empty),
             (prior, Some((start, end))) => {
                 let embedded = match prior {
@@ -780,9 +789,6 @@ impl EmergingTopicsView {
             return None;
         }
         let new_posts = &delta.forum.posts[delta.posts_before..];
-        if new_posts.is_empty() {
-            return Some(self.clone());
-        }
         let state = match &self.state {
             // Previously empty forum: everything is delta, mine whole.
             Err(_) => return Some(EmergingTopicsView::rebuild(delta.forum, corpus)),
@@ -800,7 +806,7 @@ impl EmergingTopicsView {
                 if new_posts.iter().any(|p| p.date <= read_through) {
                     return None;
                 }
-                let (start, last) = delta.forum.date_range()?;
+                let (start, last) = delta.date_range?;
                 debug_assert_eq!(
                     start, settled.start,
                     "later-dated posts keep the range start"
@@ -858,12 +864,40 @@ pub enum View {
 }
 
 impl View {
-    /// The view advanced by one committed batch, or `None` when it cannot
-    /// be carried (corpus-backed view with no corpus built, or a
-    /// generation mismatch) — dropping is always safe because a later
-    /// query rebuilds the view cold with identical answers.
-    fn advanced(&self, delta: &ViewDelta<'_>) -> Option<View> {
-        match self {
+    /// True when the batch holds nothing this view reads and the view is
+    /// current: session views at `rows_before` on a session-free batch,
+    /// text views at `posts_before` on a post-free batch with a corpus
+    /// built. Such a view is carried by sharing its `Arc`.
+    fn untouched_by(&self, delta: &ViewDelta<'_>) -> bool {
+        let docs_seen = match self {
+            View::Curve(CurveView { rows_seen, .. })
+            | View::Grid(GridView { rows_seen, .. })
+            | View::Platform(PlatformView { rows_seen, .. })
+            | View::Mos(MosView { rows_seen, .. })
+            | View::Predict(PredictView { rows_seen, .. }) => {
+                return delta.sessions.is_empty() && *rows_seen == delta.rows_before;
+            }
+            View::Sentiment(SentimentView { docs_seen, .. })
+            | View::Outage(OutageView { docs_seen, .. })
+            | View::Deployment(DeploymentView { docs_seen, .. })
+            | View::SpeedTrend(SpeedTrendView { docs_seen, .. })
+            | View::EmergingTopics(EmergingTopicsView { docs_seen, .. }) => *docs_seen,
+        };
+        delta.post_free()
+            && docs_seen == delta.posts_before
+            && delta.corpus.is_some_and(|c| c.docs() == delta.forum.len())
+    }
+
+    /// The view advanced by one committed batch — the same `Arc` when the
+    /// batch does not touch it — or `None` when it cannot be carried
+    /// (corpus-backed view with no corpus built, or a generation mismatch).
+    /// Dropping is always safe because a later query rebuilds the view
+    /// cold with identical answers.
+    fn advanced(self: &Arc<View>, delta: &ViewDelta<'_>) -> Option<Arc<View>> {
+        if self.untouched_by(delta) {
+            return Some(Arc::clone(self));
+        }
+        let next = match &**self {
             View::Curve(v) => v.advanced(delta).map(View::Curve),
             View::Grid(v) => v.advanced(delta).map(View::Grid),
             View::Platform(v) => v.advanced(delta).map(View::Platform),
@@ -874,7 +908,8 @@ impl View {
             View::Deployment(v) => v.advanced(delta).map(View::Deployment),
             View::SpeedTrend(v) => v.advanced(delta).map(View::SpeedTrend),
             View::EmergingTopics(v) => v.advanced(delta).map(View::EmergingTopics),
-        }
+        };
+        next.map(Arc::new)
     }
 }
 
@@ -922,13 +957,14 @@ impl ViewSet {
     }
 
     /// The successor generation's view set: every carried view advanced by
-    /// the committed batch in O(delta); views that cannot be carried are
-    /// dropped (and lazily rebuilt on next use, with identical answers).
+    /// the committed batch in O(delta), or shared when the batch holds
+    /// nothing it reads; views that cannot be carried are dropped (and
+    /// lazily rebuilt on next use, with identical answers).
     pub(crate) fn advanced(&self, delta: &ViewDelta<'_>) -> ViewSet {
         let views = self.views.read();
         let next: HashMap<ViewKey, Arc<View>> = views
             .iter()
-            .filter_map(|(k, v)| v.advanced(delta).map(|nv| (*k, Arc::new(nv))))
+            .filter_map(|(k, v)| v.advanced(delta).map(|nv| (*k, nv)))
             .collect();
         ViewSet {
             views: RwLock::new(next),
