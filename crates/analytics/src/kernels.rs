@@ -26,8 +26,9 @@
 //!   no-op: an accumulator that starts at `+0.0` can never become `-0.0`
 //!   (`a + b` is `-0.0` only when both operands are), `x + 0.0` preserves
 //!   `x`'s bits for every other `x`, and a masked-out `NaN`'s bits are
-//!   zeroed before the add. Each kernel's `_ref` twin performs the branchy
-//!   left fold, and the parity suite asserts bit-equality via `to_bits`.
+//!   zeroed before the add. The unit tests keep a branchy `_ref` twin of
+//!   each kernel (the left fold a per-row `if` performs) and assert
+//!   bit-equality via `to_bits` on arbitrary columns.
 //! * **Order-insensitive kernels may lane-unroll.** Counts are integer
 //!   adds (associative), and min/max over canonicalised values (zeros
 //!   normalised to `+0.0` by adding `0.0`, `NaN`s dropped by the predicated
@@ -36,9 +37,8 @@
 //!   combine them in fixed lane order.
 //!
 //! Because every kernel is sequential over the column, results are
-//! trivially independent of any `workers` knob — the routed paths accept
-//! the knob for API stability and ignore it, exactly like the view
-//! rebuilds.
+//! trivially independent of any worker count — the routed paths and the
+//! view rebuilds take no `workers` knob.
 
 use crate::binning::BinSpec;
 
@@ -140,18 +140,6 @@ pub fn masked_sum(values: &[f64], mask: &RowMask) -> f64 {
     acc
 }
 
-/// The branchy sequential left fold [`masked_sum`] must match to the bit.
-pub fn masked_sum_ref(values: &[f64], mask: &RowMask) -> f64 {
-    assert_eq!(values.len(), mask.len(), "mask must cover every row");
-    let mut acc = 0.0f64;
-    for (i, &v) in values.iter().enumerate() {
-        if mask.get(i) {
-            acc += v;
-        }
-    }
-    acc
-}
-
 /// Masked mean over selected rows: [`masked_sum`] divided by the selected
 /// count, `None` when nothing is selected. The division is the same final
 /// step `descriptive::mean` performs, so the result is bit-identical to
@@ -198,28 +186,6 @@ pub fn masked_min_max(values: &[f64], mask: &RowMask) -> Option<(f64, f64)> {
         max = if maxs[lane] > max { maxs[lane] } else { max };
     }
     Some((min, max))
-}
-
-/// The branchy sequential reference for [`masked_min_max`]: same
-/// canonicalisation, same `NaN`-skipping, one row at a time.
-pub fn masked_min_max_ref(values: &[f64], mask: &RowMask) -> Option<(f64, f64)> {
-    assert_eq!(values.len(), mask.len(), "mask must cover every row");
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    let mut seen = false;
-    for (i, &raw) in values.iter().enumerate() {
-        let v = raw + 0.0;
-        if mask.get(i) && !v.is_nan() {
-            seen = true;
-            if v < min {
-                min = v;
-            }
-            if v > max {
-                max = v;
-            }
-        }
-    }
-    seen.then_some((min, max))
 }
 
 /// Per-bin running `(sum, count)` accumulators plus the dropped-row count —
@@ -285,36 +251,6 @@ pub fn masked_binned_sum_count(xs: &[f64], ys: &[f64], mask: &RowMask, spec: Bin
     acc
 }
 
-/// The branchy reference for [`masked_binned_sum_count`]: the literal
-/// `if selected { record(x, y) }` loop over a running-sum accumulator.
-pub fn masked_binned_sum_count_ref(
-    xs: &[f64],
-    ys: &[f64],
-    mask: &RowMask,
-    spec: BinSpec,
-) -> BinAccum {
-    assert_eq!(xs.len(), ys.len(), "x and y columns must align");
-    assert_eq!(xs.len(), mask.len(), "mask must cover every row");
-    let mut acc = BinAccum {
-        sums: vec![0.0; spec.bins],
-        counts: vec![0; spec.bins],
-        dropped: 0,
-    };
-    for i in 0..xs.len() {
-        if !mask.get(i) {
-            continue;
-        }
-        match spec.index(xs[i]) {
-            Some(idx) => {
-                acc.sums[idx] += ys[i];
-                acc.counts[idx] += 1;
-            }
-            None => acc.dropped += 1,
-        }
-    }
-    acc
-}
-
 /// The Fig. 2 workhorse: a two-axis binned accumulate — cell
 /// `yi * x.bins + xi` gets `vs[i]`'s running sum when **both** axes are in
 /// range (no confounder mask; Fig. 2 bins every call). Row order, single
@@ -335,28 +271,6 @@ pub fn grid_sum_count(
         let cell = raw_bin(&y, ys[i]) * x.bins + raw_bin(&x, xs[i]);
         sums[cell] += select_or_zero(vs[i], sel);
         counts[cell] += sel as usize;
-    }
-    (sums, counts)
-}
-
-/// The branchy reference for [`grid_sum_count`].
-pub fn grid_sum_count_ref(
-    xs: &[f64],
-    ys: &[f64],
-    vs: &[f64],
-    x: BinSpec,
-    y: BinSpec,
-) -> (Vec<f64>, Vec<usize>) {
-    assert_eq!(xs.len(), ys.len(), "axis columns must align");
-    assert_eq!(xs.len(), vs.len(), "value column must align");
-    let mut sums = vec![0.0; x.bins * y.bins];
-    let mut counts = vec![0usize; x.bins * y.bins];
-    for i in 0..xs.len() {
-        let (Some(xi), Some(yi)) = (x.index(xs[i]), y.index(ys[i])) else {
-            continue;
-        };
-        sums[yi * x.bins + xi] += vs[i];
-        counts[yi * x.bins + xi] += 1;
     }
     (sums, counts)
 }
@@ -396,37 +310,6 @@ pub fn masked_slot_binned_sum_count(
     (sums, counts, dropped)
 }
 
-/// The branchy reference for [`masked_slot_binned_sum_count`].
-pub fn masked_slot_binned_sum_count_ref(
-    xs: &[f64],
-    ys: &[f64],
-    slots: &[u32],
-    slot_count: usize,
-    mask: &RowMask,
-    spec: BinSpec,
-) -> (Vec<f64>, Vec<usize>, Vec<usize>) {
-    assert_eq!(xs.len(), ys.len(), "x and y columns must align");
-    assert_eq!(xs.len(), slots.len(), "slot column must align");
-    assert_eq!(xs.len(), mask.len(), "mask must cover every row");
-    let mut sums = vec![0.0; slot_count * spec.bins];
-    let mut counts = vec![0usize; slot_count * spec.bins];
-    let mut dropped = vec![0usize; slot_count];
-    for i in 0..xs.len() {
-        if !mask.get(i) {
-            continue;
-        }
-        let slot = slots[i] as usize;
-        match spec.index(xs[i]) {
-            Some(idx) => {
-                sums[slot * spec.bins + idx] += ys[i];
-                counts[slot * spec.bins + idx] += 1;
-            }
-            None => dropped[slot] += 1,
-        }
-    }
-    (sums, counts, dropped)
-}
-
 /// Masked per-slot tally: `out[slots[i]] += 1` for every selected row —
 /// the integer-count core of the §4 text tallies (strong-sentiment posts
 /// per day, strong-negative posts per latitude band). Counts are integer
@@ -439,18 +322,6 @@ pub fn masked_slot_counts(slots: &[u32], slot_count: usize, mask: &RowMask) -> V
         let word = mask.word(w);
         for (j, &slot) in block.iter().enumerate() {
             counts[slot as usize] += ((word >> j) & 1) as usize;
-        }
-    }
-    counts
-}
-
-/// The branchy reference for [`masked_slot_counts`].
-pub fn masked_slot_counts_ref(slots: &[u32], slot_count: usize, mask: &RowMask) -> Vec<usize> {
-    assert_eq!(slots.len(), mask.len(), "mask must cover every row");
-    let mut counts = vec![0usize; slot_count];
-    for (i, &slot) in slots.iter().enumerate() {
-        if mask.get(i) {
-            counts[slot as usize] += 1;
         }
     }
     counts
@@ -490,18 +361,147 @@ pub fn count_members_u32(tokens: &[u32], sorted: &[u32]) -> usize {
     lanes.iter().sum()
 }
 
-/// The branchy reference for [`count_members_u32`].
-pub fn count_members_u32_ref(tokens: &[u32], sorted: &[u32]) -> usize {
-    tokens
-        .iter()
-        .filter(|t| sorted.binary_search(t).is_ok())
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The branchy sequential left fold [`masked_sum`] must match to the bit.
+    fn masked_sum_ref(values: &[f64], mask: &RowMask) -> f64 {
+        assert_eq!(values.len(), mask.len(), "mask must cover every row");
+        let mut acc = 0.0f64;
+        for (i, &v) in values.iter().enumerate() {
+            if mask.get(i) {
+                acc += v;
+            }
+        }
+        acc
+    }
+
+    /// The branchy sequential reference for [`masked_min_max`]: same
+    /// canonicalisation, same `NaN`-skipping, one row at a time.
+    fn masked_min_max_ref(values: &[f64], mask: &RowMask) -> Option<(f64, f64)> {
+        assert_eq!(values.len(), mask.len(), "mask must cover every row");
+        let mut min = f64::INFINITY;
+        let mut max = f64::NEG_INFINITY;
+        let mut seen = false;
+        for (i, &raw) in values.iter().enumerate() {
+            let v = raw + 0.0;
+            if mask.get(i) && !v.is_nan() {
+                seen = true;
+                if v < min {
+                    min = v;
+                }
+                if v > max {
+                    max = v;
+                }
+            }
+        }
+        seen.then_some((min, max))
+    }
+
+    /// The branchy reference for [`masked_binned_sum_count`]: the literal
+    /// `if selected { record(x, y) }` loop over a running-sum accumulator.
+    fn masked_binned_sum_count_ref(
+        xs: &[f64],
+        ys: &[f64],
+        mask: &RowMask,
+        spec: BinSpec,
+    ) -> BinAccum {
+        assert_eq!(xs.len(), ys.len(), "x and y columns must align");
+        assert_eq!(xs.len(), mask.len(), "mask must cover every row");
+        let mut acc = BinAccum {
+            sums: vec![0.0; spec.bins],
+            counts: vec![0; spec.bins],
+            dropped: 0,
+        };
+        for i in 0..xs.len() {
+            if !mask.get(i) {
+                continue;
+            }
+            match spec.index(xs[i]) {
+                Some(idx) => {
+                    acc.sums[idx] += ys[i];
+                    acc.counts[idx] += 1;
+                }
+                None => acc.dropped += 1,
+            }
+        }
+        acc
+    }
+
+    /// The branchy reference for [`grid_sum_count`].
+    fn grid_sum_count_ref(
+        xs: &[f64],
+        ys: &[f64],
+        vs: &[f64],
+        x: BinSpec,
+        y: BinSpec,
+    ) -> (Vec<f64>, Vec<usize>) {
+        assert_eq!(xs.len(), ys.len(), "axis columns must align");
+        assert_eq!(xs.len(), vs.len(), "value column must align");
+        let mut sums = vec![0.0; x.bins * y.bins];
+        let mut counts = vec![0usize; x.bins * y.bins];
+        for i in 0..xs.len() {
+            let (Some(xi), Some(yi)) = (x.index(xs[i]), y.index(ys[i])) else {
+                continue;
+            };
+            sums[yi * x.bins + xi] += vs[i];
+            counts[yi * x.bins + xi] += 1;
+        }
+        (sums, counts)
+    }
+
+    /// The branchy reference for [`masked_slot_binned_sum_count`].
+    fn masked_slot_binned_sum_count_ref(
+        xs: &[f64],
+        ys: &[f64],
+        slots: &[u32],
+        slot_count: usize,
+        mask: &RowMask,
+        spec: BinSpec,
+    ) -> (Vec<f64>, Vec<usize>, Vec<usize>) {
+        assert_eq!(xs.len(), ys.len(), "x and y columns must align");
+        assert_eq!(xs.len(), slots.len(), "slot column must align");
+        assert_eq!(xs.len(), mask.len(), "mask must cover every row");
+        let mut sums = vec![0.0; slot_count * spec.bins];
+        let mut counts = vec![0usize; slot_count * spec.bins];
+        let mut dropped = vec![0usize; slot_count];
+        for i in 0..xs.len() {
+            if !mask.get(i) {
+                continue;
+            }
+            let slot = slots[i] as usize;
+            match spec.index(xs[i]) {
+                Some(idx) => {
+                    sums[slot * spec.bins + idx] += ys[i];
+                    counts[slot * spec.bins + idx] += 1;
+                }
+                None => dropped[slot] += 1,
+            }
+        }
+        (sums, counts, dropped)
+    }
+
+    /// The branchy reference for [`masked_slot_counts`].
+    fn masked_slot_counts_ref(slots: &[u32], slot_count: usize, mask: &RowMask) -> Vec<usize> {
+        assert_eq!(slots.len(), mask.len(), "mask must cover every row");
+        let mut counts = vec![0usize; slot_count];
+        for (i, &slot) in slots.iter().enumerate() {
+            if mask.get(i) {
+                counts[slot as usize] += 1;
+            }
+        }
+        counts
+    }
+
+    /// The branchy reference for [`count_members_u32`].
+    fn count_members_u32_ref(tokens: &[u32], sorted: &[u32]) -> usize {
+        tokens
+            .iter()
+            .filter(|t| sorted.binary_search(t).is_ok())
+            .count()
+    }
 
     fn spec() -> BinSpec {
         BinSpec::new(0.0, 300.0, 6).unwrap()

@@ -10,7 +10,9 @@
 //! with peak detection (Fig. 5/6), and uniform subsampling (the Fig. 7
 //! 95 % / 90 % stability check). This crate implements all of them from
 //! scratch on top of `std` + `rand`, so the rest of the workspace stays free
-//! of heavyweight numeric dependencies.
+//! of heavyweight numeric dependencies. [`par`] is the one chunk-parallel
+//! map (scoped `crossbeam` threads) every parallel scan in the workspace
+//! shares.
 //!
 //! Nothing in here is domain-specific; the domain crates (`netsim`,
 //! `conference`, `social`, …) compose these primitives.
@@ -27,6 +29,7 @@ pub mod error;
 pub mod histogram;
 pub mod kernels;
 pub mod matrix;
+pub mod par;
 pub mod regression;
 pub mod sampling;
 pub mod stats_tests;

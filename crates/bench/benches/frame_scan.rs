@@ -1,18 +1,20 @@
-//! Columnar-frame scan bench: the §3 correlation mix computed three ways —
+//! Columnar-frame scan bench: the §3 correlation mix computed over two
+//! layouts —
 //!
-//! * `aos` — the array-of-structs reference: every aggregate re-walks
-//!   `dataset.sessions` as full `SessionRecord`s;
-//! * `columnar` — the same aggregates over [`usaas::SessionFrame`] columns
-//!   on one thread;
-//! * `columnar_parallel` — frame columns fanned out across scoped workers.
+//! * `aos` — the dataset entry points: every aggregate walks
+//!   `dataset.sessions` as full `SessionRecord`s (the record walk the
+//!   incremental views advance with);
+//! * `columnar` — the same aggregates through the branchless kernels over
+//!   [`usaas::SessionFrame`] columns, the service's cold path;
+//! * `columnar_parallel` — the same columnar mix again. The kernel scans
+//!   are sequential by design (row-order running sums are what makes them
+//!   bit-identical at every worker count), so this row tracks `columnar`;
+//!   it stays so the committed baseline keeps its history.
 //!
-//! All three produce bit-identical answers (see `tests/frame_parity.rs`);
-//! this bench measures only the layout and the fan-out. `frame_build`
-//! prices the one-off materialisation the columnar paths depend on.
-//!
-//! The parallel variant's margin over single-thread columnar scales with
-//! available cores; on a one-core box it only pays spawn overhead, but the
-//! columnar layout win alone keeps both frame variants ahead of AoS.
+//! Both layouts produce bit-identical answers (see `tests/frame_parity.rs`);
+//! this bench measures only the layout. `frame_build` prices the one-off
+//! materialisation the columnar paths depend on, sequential vs chunked
+//! across scoped workers.
 //!
 //! Run with `BENCH_JSON=results/BENCH_frame.json` (or via
 //! `scripts/bench_json.sh`) to export the medians.
@@ -23,7 +25,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use usaas::{correlate, SessionFrame};
 
-/// Workers for the parallel variant.
+/// Workers for the parallel frame build.
 const WORKERS: usize = 4;
 
 /// One pass over the paper's §3 figure mix, AoS flavour.
@@ -62,8 +64,8 @@ fn figure_mix_aos(dataset: &CallDataset) {
     black_box(correlate::mos_correlations(dataset).unwrap());
 }
 
-/// The same mix over frame columns with a configurable worker count.
-fn figure_mix_frame(frame: &SessionFrame, workers: usize) {
+/// The same mix over frame columns.
+fn figure_mix_frame(frame: &SessionFrame) {
     black_box(
         correlate::engagement_curve_frame(
             frame,
@@ -71,7 +73,6 @@ fn figure_mix_frame(frame: &SessionFrame, workers: usize) {
             EngagementMetric::Presence,
             8,
             8,
-            workers,
         )
         .unwrap(),
     );
@@ -82,14 +83,10 @@ fn figure_mix_frame(frame: &SessionFrame, workers: usize) {
             EngagementMetric::MicOn,
             8,
             8,
-            workers,
         )
         .unwrap(),
     );
-    black_box(
-        correlate::compounding_grid_frame(frame, EngagementMetric::Presence, 5, 5, workers)
-            .unwrap(),
-    );
+    black_box(correlate::compounding_grid_frame(frame, EngagementMetric::Presence, 5, 5).unwrap());
     black_box(
         correlate::platform_curves_frame(
             frame,
@@ -97,7 +94,6 @@ fn figure_mix_frame(frame: &SessionFrame, workers: usize) {
             EngagementMetric::Presence,
             4,
             5,
-            workers,
         )
         .unwrap(),
     );
@@ -111,10 +107,8 @@ fn bench_frame_scan(c: &mut Criterion) {
     let mut group = c.benchmark_group("frame_scan");
     group.sample_size(10);
     group.bench_function("aos", |b| b.iter(|| figure_mix_aos(&dataset)));
-    group.bench_function("columnar", |b| b.iter(|| figure_mix_frame(&frame, 1)));
-    group.bench_function("columnar_parallel", |b| {
-        b.iter(|| figure_mix_frame(&frame, WORKERS))
-    });
+    group.bench_function("columnar", |b| b.iter(|| figure_mix_frame(&frame)));
+    group.bench_function("columnar_parallel", |b| b.iter(|| figure_mix_frame(&frame)));
     group.finish();
 
     let mut build = c.benchmark_group("frame_build");

@@ -103,23 +103,10 @@ impl Default for PeakAnnotator {
 }
 
 impl PeakAnnotator {
-    /// Compute the daily strong-sentiment series.
+    /// Compute the daily strong-sentiment series. Tokenizes the forum once
+    /// and runs [`PeakAnnotator::sentiment_series_interned`].
     pub fn sentiment_series(&self, forum: &Forum) -> Result<SentimentSeries, AnalyticsError> {
-        let (start, end) = forum.date_range().ok_or(AnalyticsError::Empty)?;
-        let mut pos = DailySeries::zeros(start, end)?;
-        let mut neg = DailySeries::zeros(start, end)?;
-        for post in &forum.posts {
-            let scores = self.analyzer.score(&post.text());
-            if scores.is_strong_positive() {
-                pos.add(post.date, 1.0);
-            } else if scores.is_strong_negative() {
-                neg.add(post.date, 1.0);
-            }
-        }
-        Ok(SentimentSeries {
-            strong_positive: pos,
-            strong_negative: neg,
-        })
+        self.sentiment_series_interned(forum, &forum.token_corpus(1), 1)
     }
 
     /// [`PeakAnnotator::sentiment_series`] over a pre-tokenized corpus:
@@ -155,7 +142,7 @@ impl PeakAnnotator {
     /// the branchless [`kernels::masked_slot_counts`] tally: the day offset
     /// is the slot, the strong-sentiment predicates compile to row masks,
     /// and the per-day additions are integer-valued — identical counts to
-    /// the retained per-post `DailySeries::add` walk at any scan order.
+    /// a per-post `DailySeries::add` walk at any scan order.
     pub(crate) fn series_from_scores(
         &self,
         forum: &Forum,
@@ -183,10 +170,10 @@ impl PeakAnnotator {
         })
     }
 
-    /// Word cloud over one day's posts.
+    /// Word cloud over one day's posts. Tokenizes the forum once and runs
+    /// [`PeakAnnotator::day_cloud_interned`].
     pub fn day_cloud(&self, forum: &Forum, date: Date, max_words: usize) -> WordCloud {
-        let texts: Vec<String> = forum.on(date).map(|p| p.text()).collect();
-        WordCloud::from_documents(texts.iter().map(String::as_str), max_words)
+        self.day_cloud_interned(forum, &forum.token_corpus(1), date, max_words)
     }
 
     /// [`PeakAnnotator::day_cloud`] over a pre-tokenized corpus — counts
@@ -208,22 +195,15 @@ impl PeakAnnotator {
     }
 
     /// The full pipeline: top-`k` annotated peaks, strongest first.
+    /// Tokenizes the forum once and runs [`PeakAnnotator::annotate_interned`].
     pub fn annotate(&self, forum: &Forum, k: usize) -> Result<Vec<AnnotatedPeak>, AnalyticsError> {
-        let series = self.sentiment_series(forum)?;
-        let score_day = |date: Date| -> Vec<(&Post, SentimentScores)> {
-            forum
-                .on(date)
-                .map(|p| (p, self.analyzer.score(&p.text())))
-                .collect()
-        };
-        let cloud_day = |date: Date| self.day_cloud(forum, date, CLOUD_WORDS);
-        self.annotate_with(forum, k, series, cloud_day, score_day)
+        self.annotate_interned(forum, &forum.token_corpus(1), k, 1)
     }
 
     /// [`PeakAnnotator::annotate`] over a pre-tokenized corpus. Every post
     /// is scored exactly once (`score_corpus`), and that one pass feeds both
     /// the peak series and the per-peak country corroboration; day clouds
-    /// count interned ids. Output is identical to the string path.
+    /// count interned ids. Output is identical to the string oracle.
     pub fn annotate_interned(
         &self,
         forum: &Forum,
@@ -262,8 +242,9 @@ impl PeakAnnotator {
 
     /// Shared annotation tail: peak finding, cloud/news/country assembly.
     /// `cloud_day` and `score_day` abstract over string vs interned access
-    /// so both paths run literally the same logic.
-    fn annotate_with<'f>(
+    /// so the interned path and the string oracle run literally the same
+    /// logic.
+    pub(crate) fn annotate_with<'f>(
         &self,
         _forum: &'f Forum,
         k: usize,

@@ -20,8 +20,6 @@
 //!   distribution (e.g. the subscriber footprint), the standard
 //!   post-stratification fix.
 
-use crate::signals::Payload;
-use crate::store::SignalStore;
 use analytics::AnalyticsError;
 use sentiment::analyzer::SentimentAnalyzer;
 use serde::{Deserialize, Serialize};
@@ -65,51 +63,6 @@ pub fn extremity_bias(
         })
         .count();
     let forum_strong_share = strong as f64 / forum.len() as f64;
-    let amplification = if reference_extreme_share > 0.0 {
-        forum_strong_share / reference_extreme_share
-    } else {
-        f64::INFINITY
-    };
-    Ok(ExtremityBias {
-        forum_strong_share,
-        reference_extreme_share,
-        amplification,
-    })
-}
-
-/// [`extremity_bias`] measured from the signal store instead of the raw
-/// forum: walks the social signals in the store's full window through the
-/// zero-copy [`SignalStore::for_each_between`] visitor and reuses the
-/// sentiment scored at ingest time — no cloning, no re-analysis. On a store
-/// fed by [`crate::ingest::ingest_all`] the result equals the forum path
-/// exactly (ingest scores with the same default analyzer).
-pub fn extremity_bias_signals(
-    store: &SignalStore,
-    reference_extreme_share: f64,
-) -> Result<ExtremityBias, AnalyticsError> {
-    if !(0.0..=1.0).contains(&reference_extreme_share) {
-        return Err(AnalyticsError::InvalidParameter(
-            "reference share must be in [0,1]",
-        ));
-    }
-    let Some((from, to)) = store.date_range() else {
-        return Err(AnalyticsError::Empty);
-    };
-    let mut total = 0usize;
-    let mut strong = 0usize;
-    store.for_each_between(from, to, |signal| {
-        let Payload::Social(s) = &signal.payload else {
-            return;
-        };
-        total += 1;
-        if s.sentiment.is_strong_positive() || s.sentiment.is_strong_negative() {
-            strong += 1;
-        }
-    });
-    if total == 0 {
-        return Err(AnalyticsError::Empty);
-    }
-    let forum_strong_share = strong as f64 / total as f64;
     let amplification = if reference_extreme_share > 0.0 {
         forum_strong_share / reference_extreme_share
     } else {
@@ -235,32 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn store_backed_bias_matches_the_forum_path() {
-        // Ingest the same forum into a store; the zero-copy signal walk
-        // must reproduce the forum-side measurement exactly (the sentiment
-        // was scored once, at ingest).
-        let store = SignalStore::new();
-        let dataset = conference::records::CallDataset::default();
-        crate::ingest::ingest_all(&store, &dataset, forum(), 4);
-        let via_store = extremity_bias_signals(&store, 0.10).unwrap();
-        let via_forum = extremity_bias(forum(), 0.10).unwrap();
-        assert_eq!(via_store, via_forum);
-    }
-
-    #[test]
-    fn store_backed_bias_validation() {
-        assert!(extremity_bias_signals(&SignalStore::new(), 0.1).is_err());
-        let store = SignalStore::new();
-        let dataset = conference::records::CallDataset::default();
-        crate::ingest::ingest_all(&store, &dataset, forum(), 2);
-        assert!(extremity_bias_signals(&store, -0.2).is_err());
-        assert!(extremity_bias_signals(&store, 0.0)
-            .unwrap()
-            .amplification
-            .is_infinite());
-    }
-
-    #[test]
     fn reweighting_shifts_toward_target_country() {
         let scores = vec![
             CountryScore {
@@ -325,11 +252,6 @@ mod tests {
         let empty = Forum { posts: Vec::new() };
         assert_eq!(
             extremity_bias(&empty, 0.10).unwrap_err(),
-            AnalyticsError::Empty
-        );
-        let store = SignalStore::new();
-        assert_eq!(
-            extremity_bias_signals(&store, 0.10).unwrap_err(),
             AnalyticsError::Empty
         );
         // And a zero reference share is the documented INFINITY, not NaN.

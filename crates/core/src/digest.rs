@@ -17,8 +17,6 @@ use crate::advisor::TrafficAdvisor;
 use crate::emerging::EmergingTopicMiner;
 use crate::fulcrum::{FulcrumAnalysis, MonthlyPoint};
 use crate::outage::{DetectedOutage, OutageDetector};
-use crate::signals::Payload;
-use crate::store::SignalStore;
 use analytics::changepoint::binary_segmentation;
 use analytics::stats_tests::welch_t_test;
 use analytics::time::Month;
@@ -211,75 +209,20 @@ impl DigestBuilder {
         Ok(gaps)
     }
 
-    /// [`DigestBuilder::tested_gaps`] fed from the signal store: walks the
-    /// implicit signals in the store's full window through the zero-copy
-    /// [`SignalStore::for_each_between`] visitor (no per-signal clone of the
-    /// boxed session records) and runs the same Welch tests on the same
-    /// strata. Signals arrive in date order rather than dataset order, so
-    /// the test statistics agree with the dataset path up to floating-point
-    /// summation order.
-    pub fn tested_gaps_signals(
-        &self,
-        store: &SignalStore,
-    ) -> Result<Vec<TestedGap>, AnalyticsError> {
-        let Some((from, to)) = store.date_range() else {
-            return Err(AnalyticsError::Empty);
-        };
-        let mut mobile = Vec::new();
-        let mut pc = Vec::new();
-        let mut conditioned = Vec::new();
-        let mut unconditioned = Vec::new();
-        store.for_each_between(from, to, |signal| {
-            let Payload::Implicit(imp) = &signal.payload else {
-                return;
-            };
-            let s = &imp.session;
-            if s.network_mean(NetworkMetric::LatencyMs) <= 120.0 {
-                return;
-            }
-            if s.platform.is_mobile() {
-                mobile.push(s.presence_pct);
-            } else {
-                pc.push(s.presence_pct);
-            }
-            if s.conditioned {
-                conditioned.push(s.presence_pct);
-            } else {
-                unconditioned.push(s.presence_pct);
-            }
-        });
-        let mut gaps = Vec::new();
-        if mobile.len() >= 2 && pc.len() >= 2 {
-            let t = welch_t_test(&mobile, &pc)?;
-            gaps.push(TestedGap {
-                label: "mobile vs PC (degraded latency)".into(),
-                difference: t.mean_difference,
-                p_value: t.p_value,
-            });
-        }
-        if conditioned.len() >= 2 && unconditioned.len() >= 2 {
-            let t = welch_t_test(&conditioned, &unconditioned)?;
-            gaps.push(TestedGap {
-                label: "conditioned vs unconditioned (degraded latency)".into(),
-                difference: t.mean_difference,
-                p_value: t.p_value,
-            });
-        }
-        Ok(gaps)
-    }
-
-    /// Assemble the full digest.
+    /// Assemble the full digest. The forum is tokenized once, and the
+    /// Fig. 7, outage and emerging-topic sections all read that corpus.
     pub fn build(&self, dataset: &CallDataset, forum: &Forum) -> Result<Digest, AnalyticsError> {
         let (first, last) = forum
             .date_range()
             .map(|(a, b)| (a.month(), b.month()))
             .ok_or(AnalyticsError::Empty)?;
-        let series = self.fulcrum.analyze(forum, first, last)?;
-        let mut outages = self.detector.detect(forum)?;
+        let corpus = forum.token_corpus(1);
+        let series = self.fulcrum.analyze_interned(forum, &corpus, first, last)?;
+        let mut outages = self.detector.detect_interned(forum, &corpus, 1)?;
         outages.sort_by(|a, b| analytics::desc_nan_last(a.score, b.score));
         let emerging = self
             .miner
-            .mine(forum)?
+            .mine_interned(forum, &corpus)?
             .into_iter()
             .map(|t| (t.term, t.first_flagged.to_string()))
             .collect();
@@ -412,31 +355,6 @@ mod tests {
             "mobile should trail PC: {mobile:?}"
         );
         assert!(mobile.p_value < 0.05, "{mobile:?}");
-    }
-
-    #[test]
-    fn store_backed_gaps_agree_with_the_dataset_path() {
-        let (dataset, forum) = fixtures();
-        let store = SignalStore::new();
-        crate::ingest::ingest_all(&store, dataset, forum, 4);
-        let builder = DigestBuilder::default();
-        let from_dataset = builder.tested_gaps(dataset).unwrap();
-        let from_store = builder.tested_gaps_signals(&store).unwrap();
-        assert_eq!(from_dataset.len(), from_store.len());
-        // Same strata, same values — only the summation order differs
-        // (store signals arrive in date order), so compare to tolerance.
-        for (a, b) in from_dataset.iter().zip(&from_store) {
-            assert_eq!(a.label, b.label);
-            assert!((a.difference - b.difference).abs() < 1e-9, "{a:?} vs {b:?}");
-            assert!((a.p_value - b.p_value).abs() < 1e-9, "{a:?} vs {b:?}");
-        }
-    }
-
-    #[test]
-    fn store_backed_gaps_need_data() {
-        assert!(DigestBuilder::default()
-            .tested_gaps_signals(&SignalStore::new())
-            .is_err());
     }
 
     #[test]

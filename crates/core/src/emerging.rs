@@ -15,7 +15,6 @@ use analytics::time::Date;
 use analytics::AnalyticsError;
 use sentiment::analyzer::SentimentAnalyzer;
 use sentiment::corpus::{IdNgramCounts, TokenCorpus};
-use sentiment::ngram::NgramCounts;
 use serde::{Deserialize, Serialize};
 use social::post::{Forum, Post};
 use std::collections::HashMap;
@@ -63,82 +62,10 @@ pub struct EmergingTopic {
 
 impl EmergingTopicMiner {
     /// Mine the corpus; returns the first detection per term, ordered by
-    /// flag date.
+    /// flag date. Tokenizes the forum once and runs
+    /// [`EmergingTopicMiner::mine_interned`].
     pub fn mine(&self, forum: &Forum) -> Result<Vec<EmergingTopic>, AnalyticsError> {
-        let (start, end) = forum.date_range().ok_or(AnalyticsError::Empty)?;
-        let analyzer = SentimentAnalyzer::default();
-        // Historical cumulative engagement weight per term and in total.
-        // Novelty compares the term's *share* of engagement-weighted counts
-        // now vs historically, so an event that inflates all posting (and
-        // therefore every term's absolute weight) does not flag established
-        // vocabulary.
-        let mut history: HashMap<String, f64> = HashMap::new();
-        let mut history_total = 0.0f64;
-        let mut detected: HashMap<String, EmergingTopic> = HashMap::new();
-        /// Share floor: the share a never-seen term is treated as having had.
-        const SHARE_FLOOR: f64 = 0.002;
-
-        let mut cursor = start.offset(self.window_days);
-        // Pre-load history with the first window.
-        let mut pre = NgramCounts::new();
-        for p in forum.between(start, cursor.offset(-1)) {
-            pre.add_weighted(&p.text(), p.engagement_weight());
-        }
-        for (term, w) in pre.iter() {
-            *history.entry(term.to_string()).or_insert(0.0) += w;
-            history_total += w;
-        }
-
-        while cursor.offset(self.window_days - 1) <= end {
-            let win_start = cursor;
-            let win_end = cursor.offset(self.window_days - 1);
-            let mut counts = NgramCounts::new();
-            let posts: Vec<&social::post::Post> = forum.between(win_start, win_end).collect();
-            for p in &posts {
-                counts.add_weighted(&p.text(), p.engagement_weight());
-            }
-            let window_total: f64 = counts.iter().map(|(_, w)| w).sum::<f64>().max(1.0);
-            for (term, weight) in counts.iter() {
-                if weight < self.min_weight || detected.contains_key(term) {
-                    continue;
-                }
-                let hist_share = history.get(term).copied().unwrap_or(0.0) / history_total.max(1.0);
-                let window_share = weight / window_total;
-                let novelty = window_share / (hist_share + SHARE_FLOOR);
-                if novelty >= self.min_novelty {
-                    // Sentiment of the posts mentioning the term.
-                    let polarities: Vec<f64> = posts
-                        .iter()
-                        .filter(|p| p.text().to_lowercase().contains(term))
-                        .map(|p| analyzer.score(&p.text()).polarity())
-                        .collect();
-                    let polarity = analytics::mean(&polarities).unwrap_or(0.0);
-                    detected.insert(
-                        term.to_string(),
-                        EmergingTopic {
-                            term: term.to_string(),
-                            first_flagged: win_end,
-                            window_weight: weight,
-                            novelty,
-                            polarity,
-                        },
-                    );
-                }
-            }
-            // Roll the oldest step into history.
-            let mut rolled = NgramCounts::new();
-            for p in forum.between(win_start, win_start.offset(self.step_days - 1)) {
-                rolled.add_weighted(&p.text(), p.engagement_weight());
-            }
-            for (term, w) in rolled.iter() {
-                *history.entry(term.to_string()).or_insert(0.0) += w;
-                history_total += w;
-            }
-            cursor = cursor.offset(self.step_days);
-        }
-        let mut out: Vec<EmergingTopic> = detected.into_values().collect();
-        sort_detections(&mut out);
-        Ok(out)
+        self.mine_interned(forum, &forum.token_corpus(1))
     }
 
     /// [`EmergingTopicMiner::mine`] over a pre-tokenized corpus: windows
@@ -146,8 +73,8 @@ impl EmergingTopicMiner {
     /// `HashMap<u32, f64>`, and polarity scoring runs on token ids. All
     /// window/history weights are sums of integer-valued engagement
     /// weights, so every share and novelty ratio is computed on exactly
-    /// the same values as the string path; detections are identical, and
-    /// same-day flags are ordered by term (both paths sort with
+    /// the same values as the string oracle; detections are identical, and
+    /// same-day flags are ordered by term (both sort with
     /// [`sort_detections`]).
     ///
     /// Implemented as [`EmergingTopicMiner::mine_start`] +
@@ -237,7 +164,7 @@ impl EmergingTopicMiner {
                 let novelty = window_share / (hist_share + SHARE_FLOOR);
                 if novelty >= self.min_novelty {
                     // Sentiment of the posts mentioning the term. The
-                    // string path substring-matches the lowercased full
+                    // string oracle substring-matches the lowercased full
                     // text; terms never contain the title/body joiner, so
                     // checking the parts separately is equivalent.
                     let term = vocab.word(id);
@@ -331,7 +258,7 @@ fn between(forum: &Forum, from: Date, to: Date) -> impl Iterator<Item = (usize, 
 
 /// Canonical detection order: flag date, then term. Pinning the tie order
 /// (the maps above iterate in hash order) keeps every producer —
-/// string-path mine, interned mine, carried view — byte-identical.
+/// interned mine, carried view, string oracle — byte-identical.
 pub(crate) fn sort_detections(out: &mut [EmergingTopic]) {
     out.sort_by(|a, b| {
         a.first_flagged

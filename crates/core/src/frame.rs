@@ -19,11 +19,11 @@
 //! (asserted by the `frame_parity` suite).
 
 use analytics::kernels::RowMask;
+use analytics::par::par_map_ranges;
 use analytics::time::Date;
 use conference::platform::Platform;
 use conference::records::{CallDataset, EngagementMetric, NetworkMetric, SessionRecord};
 use netsim::access::AccessType;
-use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Column slot of a network metric.
@@ -106,7 +106,7 @@ impl SessionFrame {
         if sessions.is_empty() {
             return;
         }
-        let parts = par_map_ranges(sessions.len(), workers, |range| {
+        let parts = par_map_ranges(sessions.len(), workers, MIN_CHUNK_ELEMENTS, |range| {
             let mut part = SessionFrame::with_capacity(range.len());
             for s in &sessions[range] {
                 part.push(s);
@@ -391,107 +391,15 @@ impl SessionFrame {
     }
 }
 
-/// Split `[0, len)` into up to `workers` contiguous near-equal ranges (always
-/// at least one range, possibly empty, so aggregation loops need no special
-/// empty-input case).
-pub fn chunk_ranges(len: usize, workers: usize) -> Vec<Range<usize>> {
-    let chunks = workers.max(1).min(len.max(1));
-    let base = len / chunks;
-    let extra = len % chunks;
-    let mut out = Vec::with_capacity(chunks);
-    let mut start = 0;
-    for c in 0..chunks {
-        let size = base + usize::from(c < extra);
-        out.push(start..start + size);
-        start += size;
-    }
-    out
-}
-
 /// Fewest elements a chunk must hold before a thread spawn pays for
 /// itself; columnar work is tens of nanoseconds per element, so anything
 /// smaller loses more to spawn/join than the fan-out wins.
 const MIN_CHUNK_ELEMENTS: usize = 4096;
 
-/// Chunks handed to each available core. Every chunk runs on its own
-/// scoped thread, so more than one per core only adds scheduler churn.
-const CHUNKS_PER_CORE: usize = 1;
-
-/// Cores the OS will actually run us on, probed once.
-fn available_cores() -> usize {
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CORES.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    })
-}
-
-/// Adaptive work-splitting: the requested `workers` capped to what the
-/// machine can run (`cores × CHUNKS_PER_CORE`) and to what the input can
-/// feed (`len / MIN_CHUNK_ELEMENTS`), never below one. Because chunks are
-/// contiguous and merged in chunk order everywhere, *any* chunk count
-/// yields bit-identical results — this only decides how much spawn cost is
-/// worth paying.
-fn adaptive_chunks(len: usize, workers: usize) -> usize {
-    workers
-        .min(available_cores() * CHUNKS_PER_CORE)
-        .min(len / MIN_CHUNK_ELEMENTS)
-        .max(1)
-}
-
-/// Map `f` over adaptively-sized chunk ranges of `[0, len)` on scoped
-/// worker threads, returning the per-chunk results **in chunk order** (so
-/// order-sensitive merges reproduce the sequential visit order). `workers`
-/// is an upper bound: the split falls back to fewer chunks — down to a
-/// single inline one, paying no spawn cost — when the input is too small
-/// to amortise thread spawns or the machine has fewer cores (see
-/// [`chunk_ranges`] for the range arithmetic). The chunk-order merge
-/// discipline makes any chunk count bit-identical, so the adaptation never
-/// changes results.
-///
-/// # Panics
-///
-/// Re-raises the original panic of any worker that died.
-pub fn par_map_ranges<T, F>(len: usize, workers: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Range<usize>) -> T + Sync,
-{
-    par_map_on(chunk_ranges(len, adaptive_chunks(len, workers)), f)
-}
-
-/// The spawn machinery behind [`par_map_ranges`], over explicit ranges —
-/// split out so tests can pin the multi-chunk path regardless of how many
-/// cores the test machine has.
-fn par_map_on<T, F>(ranges: Vec<Range<usize>>, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Range<usize>) -> T + Sync,
-{
-    if ranges.len() <= 1 {
-        return ranges.into_iter().map(f).collect();
-    }
-    let mut slots: Vec<Option<T>> = Vec::new();
-    slots.resize_with(ranges.len(), || None);
-    crossbeam::thread::scope(|scope| {
-        for (slot, range) in slots.iter_mut().zip(ranges) {
-            let f = &f;
-            scope.spawn(move |_| {
-                *slot = Some(f(range));
-            });
-        }
-    })
-    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every chunk worker fills its slot"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use analytics::par::{chunk_ranges, par_map_on};
     use conference::dataset::{generate, DatasetConfig};
     use std::sync::OnceLock;
 
@@ -614,22 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn chunk_ranges_cover_exactly() {
-        for (len, workers) in [(0, 4), (1, 4), (7, 3), (100, 8), (5, 1), (3, 9)] {
-            let ranges = chunk_ranges(len, workers);
-            assert!(!ranges.is_empty());
-            assert!(ranges.len() <= workers.max(1));
-            assert_eq!(ranges.first().unwrap().start, 0);
-            assert_eq!(ranges.last().unwrap().end, len);
-            for w in ranges.windows(2) {
-                assert_eq!(w[0].end, w[1].start, "contiguous: {ranges:?}");
-            }
-            let total: usize = ranges.iter().map(|r| r.len()).sum();
-            assert_eq!(total, len);
-        }
-    }
-
-    #[test]
     fn frame_round_trips_bit_identically() {
         let ds = dataset();
         let frame = SessionFrame::from_dataset(ds, 4);
@@ -671,51 +563,6 @@ mod tests {
         let bytes = w.into_bytes();
         let back = SessionFrame::decode_bin(&mut serde::bin::Reader::new(&bytes)).unwrap();
         assert!(back.is_empty());
-    }
-
-    #[test]
-    fn par_map_preserves_chunk_order() {
-        let parts = par_map_ranges(100, 7, |r| r.clone());
-        let flat: Vec<usize> = parts.into_iter().flatten().collect();
-        assert_eq!(flat, (0..100).collect::<Vec<_>>());
-        // The spawned multi-chunk path keeps the same order, regardless of
-        // how many cores this machine has.
-        let parts = par_map_on(chunk_ranges(100, 7), |r| r.clone());
-        let flat: Vec<usize> = parts.into_iter().flatten().collect();
-        assert_eq!(flat, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_map_propagates_worker_panics() {
-        let result = std::panic::catch_unwind(|| {
-            par_map_on(chunk_ranges(10, 4), |r| {
-                if r.start == 0 {
-                    panic!("chunk worker exploded");
-                }
-                r.len()
-            })
-        });
-        let payload = result.expect_err("worker panic must propagate");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert_eq!(msg, "chunk worker exploded");
-    }
-
-    #[test]
-    fn adaptive_split_falls_back_to_sequential_on_small_inputs() {
-        // Below the per-chunk floor the whole input runs as one inline
-        // chunk, whatever was requested.
-        assert_eq!(adaptive_chunks(0, 8), 1);
-        assert_eq!(adaptive_chunks(MIN_CHUNK_ELEMENTS - 1, 8), 1);
-        assert_eq!(adaptive_chunks(MIN_CHUNK_ELEMENTS * 2, 1), 1);
-        // Large inputs split, but never beyond the requested workers or
-        // what the machine can run.
-        let cap = available_cores() * CHUNKS_PER_CORE;
-        let big = MIN_CHUNK_ELEMENTS * 64;
-        assert_eq!(adaptive_chunks(big, 4), 4.min(cap));
-        assert!(adaptive_chunks(big, 1024) <= cap);
-        // The element floor bounds the chunk count even for huge worker
-        // requests.
-        assert!(adaptive_chunks(MIN_CHUNK_ELEMENTS * 3, 1024) <= 3);
     }
 
     #[test]

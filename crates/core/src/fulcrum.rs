@@ -110,23 +110,22 @@ impl DocShot {
 }
 
 impl FulcrumAnalysis {
-    /// Run the pipeline over `[start, end]` months.
+    /// Run the pipeline over `[start, end]` months. Tokenizes the forum
+    /// once and runs [`FulcrumAnalysis::analyze_interned`].
     pub fn analyze(
         &self,
         forum: &Forum,
         start: Month,
         end: Month,
     ) -> Result<Vec<MonthlyPoint>, AnalyticsError> {
-        self.analyze_with(forum, start, end, |_, post| {
-            self.analyzer.score(&post.text())
-        })
+        self.analyze_interned(forum, &forum.token_corpus(1), start, end)
     }
 
     /// [`FulcrumAnalysis::analyze`] over a pre-tokenized corpus (document
     /// `i` = post `i`): the monthly Pos score reads interned token ids
     /// instead of re-tokenizing each screenshot post. The OCR extraction,
-    /// RNG stream, and month loop are shared with the string path, so the
-    /// series is identical.
+    /// RNG stream, and month loop are shared with the string oracle, so
+    /// the series is identical.
     pub fn analyze_interned(
         &self,
         forum: &Forum,
@@ -149,7 +148,9 @@ impl FulcrumAnalysis {
         })
     }
 
-    fn analyze_with(
+    /// The month loop with per-post sentiment from `score` (interned ids
+    /// here, string text in the parity oracle).
+    pub(crate) fn analyze_with(
         &self,
         forum: &Forum,
         start: Month,

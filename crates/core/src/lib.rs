@@ -24,6 +24,8 @@ pub mod fault;
 pub mod frame;
 pub mod fulcrum;
 pub mod ingest;
+#[doc(hidden)]
+pub mod oracle;
 pub mod outage;
 pub mod persist;
 pub mod predict;
@@ -36,7 +38,7 @@ pub mod views;
 
 pub use advisor::{Intervention, TrafficAdvisor};
 pub use annotate::{AnnotatedPeak, PeakAnnotator};
-pub use bias::{extremity_bias, extremity_bias_signals, geo_corrected_polarity, ExtremityBias};
+pub use bias::{extremity_bias, geo_corrected_polarity, ExtremityBias};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
 pub use cache::MemoCache;
 pub use cluster::{ClusterHealth, PartitionedService, CLUSTER_META};
@@ -54,7 +56,7 @@ pub use digest::{Digest, DigestBuilder, RegimeChange, TestedGap};
 pub use early::{EarlyQualityMonitor, EarlyScoreWeights, HorizonSkill};
 pub use emerging::{EmergingTopic, EmergingTopicMiner};
 pub use fault::{Clock, Fault, FaultInjector, FaultPlan, VirtualClock, WallClock};
-pub use frame::{chunk_ranges, par_map_ranges, SessionFrame};
+pub use frame::SessionFrame;
 pub use fulcrum::{Fig7Series, FulcrumAnalysis, MonthlyPoint};
 pub use ingest::{
     ingest_all, ingest_stream, IngestConfig, IngestReport, PanicPolicy, QuarantineEntry,

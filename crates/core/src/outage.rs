@@ -77,35 +77,21 @@ pub struct DetectionScore {
 
 impl OutageDetector {
     /// The Fig. 6 series: day-wise keyword occurrences in negative posts.
+    /// Tokenizes the forum once and runs
+    /// [`OutageDetector::keyword_series_interned`], the path the service
+    /// serves from.
     pub fn keyword_series(&self, forum: &Forum) -> Result<DailySeries, AnalyticsError> {
-        let (start, end) = forum.date_range().ok_or(AnalyticsError::Empty)?;
-        let mut series = DailySeries::zeros(start, end)?;
-        for post in &forum.posts {
-            let text = post.text();
-            let hits = self.dictionary.count_matches(&text);
-            if hits == 0 {
-                continue;
-            }
-            if self.negative_filter {
-                let scores = self.analyzer.score(&text);
-                // "Threads with positive or neutral sentiments have been
-                // filtered out."
-                if scores.negative <= scores.positive || scores.negative <= scores.neutral {
-                    continue;
-                }
-            }
-            series.add(post.date, hits as f64);
-        }
-        Ok(series)
+        self.keyword_series_interned(forum, &forum.token_corpus(1), 1)
     }
 
     /// [`OutageDetector::keyword_series`] over a pre-tokenized corpus
     /// (document `i` = post `i`): the dictionary is compiled to id space
     /// once, matching and the negative-sentiment filter run as integer/
     /// vector-index loops fanned out over up to `workers` threads, and the
-    /// per-day sums are accumulated in post order — identical output to the
-    /// string path for every worker count (per-day additions are
-    /// integer-valued, and the filter decisions are per-post).
+    /// per-day sums are accumulated in post order — identical output for
+    /// every worker count (per-day additions are integer-valued, and the
+    /// filter decisions are per-post), and identical to the string oracle
+    /// the parity suite keeps.
     pub fn keyword_series_interned(
         &self,
         forum: &Forum,
@@ -124,9 +110,12 @@ impl OutageDetector {
         let (start, end) = forum.date_range().ok_or(AnalyticsError::Empty)?;
         let mut series = DailySeries::zeros(start, end)?;
         let dict = CompiledDict::compile(&self.dictionary, corpus.vocab());
-        let parts = sentiment::corpus::par_map_ranges(corpus.docs(), workers, |range| {
-            self.doc_hits_range(&dict, corpus, range)
-        });
+        let parts = analytics::par::par_map_ranges(
+            corpus.docs(),
+            workers,
+            sentiment::corpus::MIN_CHUNK_DOCS,
+            |range| self.doc_hits_range(&dict, corpus, range),
+        );
         let hits_per_post = sentiment::corpus::flatten_chunks(parts);
         for (post, hits) in forum.posts.iter().zip(hits_per_post) {
             if hits > 0 {
@@ -171,12 +160,10 @@ impl OutageDetector {
             .collect()
     }
 
-    /// Detect outage days: spikes of the keyword series.
+    /// Detect outage days: spikes of the keyword series. Tokenizes the
+    /// forum once and runs [`OutageDetector::detect_interned`].
     pub fn detect(&self, forum: &Forum) -> Result<Vec<DetectedOutage>, AnalyticsError> {
-        let series = self.keyword_series(forum)?;
-        Ok(Self::peaks_to_detections(
-            series.peaks(self.min_peak_score, self.refractory_days),
-        ))
+        self.detect_interned(forum, &forum.token_corpus(1), 1)
     }
 
     /// [`OutageDetector::detect`] over a pre-tokenized corpus.

@@ -552,26 +552,13 @@ impl Generation {
                 sweep,
                 engagement,
                 bins,
-            } => View::Curve(CurveView::rebuild(
-                self.frame(),
-                sweep,
-                engagement,
-                bins,
-                self.workers,
-            )?),
-            ViewKey::Grid { engagement, bins } => View::Grid(GridView::rebuild(
-                self.frame(),
-                engagement,
-                bins,
-                self.workers,
-            )?),
-            ViewKey::Platform { sweep, engagement } => View::Platform(PlatformView::rebuild(
-                self.frame(),
-                sweep,
-                engagement,
-                4,
-                self.workers,
-            )?),
+            } => View::Curve(CurveView::rebuild(self.frame(), sweep, engagement, bins)?),
+            ViewKey::Grid { engagement, bins } => {
+                View::Grid(GridView::rebuild(self.frame(), engagement, bins)?)
+            }
+            ViewKey::Platform { sweep, engagement } => {
+                View::Platform(PlatformView::rebuild(self.frame(), sweep, engagement, 4)?)
+            }
             ViewKey::Mos => View::Mos(MosView::rebuild(self.frame())),
             ViewKey::Predict { features } => {
                 View::Predict(PredictView::rebuild(self.frame(), features))
@@ -663,27 +650,13 @@ impl Generation {
                 *engagement,
                 *bins,
                 8,
-                self.workers,
             )?)),
-            Query::CompoundingGrid { engagement, bins } => {
-                Ok(Answer::Grid(correlate::compounding_grid_frame(
-                    self.frame(),
-                    *engagement,
-                    *bins,
-                    5,
-                    self.workers,
-                )?))
-            }
-            Query::PlatformSensitivity { sweep, engagement } => {
-                Ok(Answer::PlatformCurves(correlate::platform_curves_frame(
-                    self.frame(),
-                    *sweep,
-                    *engagement,
-                    4,
-                    5,
-                    self.workers,
-                )?))
-            }
+            Query::CompoundingGrid { engagement, bins } => Ok(Answer::Grid(
+                correlate::compounding_grid_frame(self.frame(), *engagement, *bins, 5)?,
+            )),
+            Query::PlatformSensitivity { sweep, engagement } => Ok(Answer::PlatformCurves(
+                correlate::platform_curves_frame(self.frame(), *sweep, *engagement, 4, 5)?,
+            )),
             Query::MosCorrelation => {
                 let mut curves = Vec::new();
                 for m in EngagementMetric::ALL {
@@ -711,12 +684,11 @@ impl Generation {
                 )?))
             }
             Query::SpeedTrend => {
-                // The corpus window is min/max over posts — `posts` carries
-                // no ordering guarantee, so first()/last() would hand a
-                // shuffled forum an inverted (or truncated) month range.
+                // The forum's date range folded once at commit (min/max over
+                // posts — `posts` carries no ordering guarantee), the same
+                // derivation the view-backed arm uses.
                 let (first, last) = self
-                    .forum
-                    .date_range()
+                    .date_range
                     .map(|(a, b)| (a.month(), b.month()))
                     .ok_or(UsaasError::NoData("empty forum"))?;
                 Ok(Answer::Speeds(

@@ -202,10 +202,7 @@ impl SignalStore {
     /// Use it when the caller needs owned signals that outlive the store
     /// borrow. Analyses that only *read* the window should use
     /// [`SignalStore::for_each_between`] instead, which visits the same
-    /// signals in the same date order with zero copies — the in-crate
-    /// consumers ([`crate::bias::extremity_bias_signals`],
-    /// [`crate::digest::DigestBuilder::tested_gaps_signals`]) all go
-    /// through the visitor.
+    /// signals in the same date order with zero copies.
     pub fn between(&self, from: Date, to: Date) -> Vec<Signal> {
         let mut out = Vec::new();
         self.for_each_between(from, to, |s| out.push(s.clone()));

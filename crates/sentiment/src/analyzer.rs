@@ -188,11 +188,16 @@ impl SentimentAnalyzer {
     /// worker count.
     pub fn score_corpus(&self, corpus: &TokenCorpus, workers: usize) -> Vec<SentimentScores> {
         let vocab = corpus.vocab();
-        let parts = crate::corpus::par_map_ranges(corpus.docs(), workers, |range| {
-            range
-                .map(|doc| self.score_ids(corpus.doc(doc), vocab))
-                .collect::<Vec<SentimentScores>>()
-        });
+        let parts = analytics::par::par_map_ranges(
+            corpus.docs(),
+            workers,
+            crate::corpus::MIN_CHUNK_DOCS,
+            |range| {
+                range
+                    .map(|doc| self.score_ids(corpus.doc(doc), vocab))
+                    .collect::<Vec<SentimentScores>>()
+            },
+        );
         crate::corpus::flatten_chunks(parts)
     }
 }

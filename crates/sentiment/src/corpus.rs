@@ -30,6 +30,7 @@
 use crate::keywords::KeywordDictionary;
 use crate::lexicon::Lexicon;
 use crate::tokenize::{for_each_token, is_stopword};
+use analytics::par::par_map_ranges;
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -228,7 +229,9 @@ impl TokenCorpus {
     where
         F: Fn(usize, &mut dyn FnMut(&str)) + Sync,
     {
-        let chunks = par_map_ranges(docs, workers, |range| Chunk::build(range, &parts_of));
+        let chunks = par_map_ranges(docs, workers, MIN_CHUNK_DOCS, |range| {
+            Chunk::build(range, &parts_of)
+        });
         TokenCorpus::from_chunks(chunks)
     }
 
@@ -292,7 +295,9 @@ impl TokenCorpus {
             // A default-constructed corpus has no leading sentinel yet.
             self.offsets.push(0);
         }
-        let chunks = par_map_ranges(new_docs, workers, |range| Chunk::build(range, &parts_of));
+        let chunks = par_map_ranges(new_docs, workers, MIN_CHUNK_DOCS, |range| {
+            Chunk::build(range, &parts_of)
+        });
         self.absorb_chunks(chunks);
     }
 
@@ -493,7 +498,7 @@ impl CompiledDict {
     /// contiguous chunks over up to `workers` scoped threads. Counts are
     /// integers, so the result is identical for every worker count.
     pub fn count_corpus(&self, corpus: &TokenCorpus, workers: usize) -> Vec<usize> {
-        let parts = par_map_ranges(corpus.docs(), workers, |range| {
+        let parts = par_map_ranges(corpus.docs(), workers, MIN_CHUNK_DOCS, |range| {
             let mut scratch = Vec::new();
             range
                 .map(|doc| self.count_ids_with(corpus.doc(doc), &mut scratch))
@@ -600,100 +605,12 @@ impl IdNgramCounts {
     }
 }
 
-/// Split `[0, len)` into up to `workers` contiguous near-equal ranges
-/// (always at least one, possibly empty — same contract as the session
-/// frame's chunker, re-stated here because `sentiment` sits below `usaas`
-/// in the crate graph).
-fn chunk_ranges(len: usize, workers: usize) -> Vec<Range<usize>> {
-    let chunks = workers.max(1).min(len.max(1));
-    let base = len / chunks;
-    let extra = len % chunks;
-    let mut out = Vec::with_capacity(chunks);
-    let mut start = 0;
-    for c in 0..chunks {
-        let size = base + usize::from(c < extra);
-        out.push(start..start + size);
-        start += size;
-    }
-    out
-}
-
 /// Fewest documents a chunk must hold before a thread spawn pays for
 /// itself. Tokenizing is far more expensive per element than a column
 /// push, so the floor sits well below the session frame's 4096-element
-/// threshold.
-const MIN_CHUNK_DOCS: usize = 512;
-
-/// Chunks handed to each available core. One keeps every merge step a
-/// straight chunk-order append; raising it only helps with work stealing,
-/// which the scoped-spawn pool does not do.
-const CHUNKS_PER_CORE: usize = 1;
-
-/// Cores the OS will actually run us on, probed once.
-fn available_cores() -> usize {
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CORES.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    })
-}
-
-/// Chunk count that keeps per-chunk work above [`MIN_CHUNK_DOCS`] and the
-/// fan-out no wider than the cores that can actually run it. Any count
-/// yields the same bytes (chunk-order vocab merge), so this only moves the
-/// speed dial.
-fn adaptive_chunks(len: usize, workers: usize) -> usize {
-    workers
-        .min(available_cores() * CHUNKS_PER_CORE)
-        .min(len / MIN_CHUNK_DOCS)
-        .max(1)
-}
-
-/// Map `f` over the chunk ranges of `[0, len)` on scoped worker threads,
-/// returning per-chunk results in chunk order; a single chunk runs inline.
-/// Re-raises the original panic of any worker that died.
-///
-/// `workers` is a ceiling, not a demand: small inputs collapse to a single
-/// inline chunk and the fan-out never exceeds the machine's available
-/// cores, so callers can pass their configured worker count unconditionally
-/// without paying the parallel setup tax on small corpora. Results are
-/// bit-identical for every worker count because chunks merge in order.
-pub fn par_map_ranges<T, F>(len: usize, workers: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Range<usize>) -> T + Sync,
-{
-    par_map_on(chunk_ranges(len, adaptive_chunks(len, workers)), f)
-}
-
-/// [`par_map_ranges`] over explicit pre-split ranges — the spawn machinery
-/// without the adaptive sizing, so tests can pin multi-chunk merge
-/// behaviour regardless of the host's core count.
-fn par_map_on<T, F>(ranges: Vec<Range<usize>>, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Range<usize>) -> T + Sync,
-{
-    if ranges.len() <= 1 {
-        return ranges.into_iter().map(f).collect();
-    }
-    let mut slots: Vec<Option<T>> = Vec::new();
-    slots.resize_with(ranges.len(), || None);
-    crossbeam::thread::scope(|scope| {
-        for (slot, range) in slots.iter_mut().zip(ranges) {
-            let f = &f;
-            scope.spawn(move |_| {
-                *slot = Some(f(range));
-            });
-        }
-    })
-    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every chunk worker fills its slot"))
-        .collect()
-}
+/// threshold. Every corpus-wide pass (build, scoring, keyword counts)
+/// splits with it.
+pub const MIN_CHUNK_DOCS: usize = 512;
 
 /// Concatenate per-chunk result vectors in chunk order.
 pub fn flatten_chunks<T>(parts: Vec<Vec<T>>) -> Vec<T> {
@@ -709,6 +626,7 @@ pub fn flatten_chunks<T>(parts: Vec<Vec<T>>) -> Vec<T> {
 mod tests {
     use super::*;
     use crate::tokenize::{content_words, tokenize};
+    use analytics::par::{chunk_ranges, par_map_on};
 
     fn corpus_of(texts: &[&str], workers: usize) -> TokenCorpus {
         TokenCorpus::from_texts(texts, workers)
@@ -732,18 +650,6 @@ mod tests {
             corpus.total_tokens(),
             texts.iter().map(|t| tokenize(t).len()).sum()
         );
-    }
-
-    #[test]
-    fn adaptive_split_falls_back_to_sequential_on_small_inputs() {
-        let cap = available_cores() * CHUNKS_PER_CORE;
-        assert_eq!(adaptive_chunks(0, 8), 1);
-        assert_eq!(adaptive_chunks(MIN_CHUNK_DOCS - 1, 8), 1);
-        assert_eq!(adaptive_chunks(2 * MIN_CHUNK_DOCS, 1), 1);
-        assert_eq!(adaptive_chunks(64 * MIN_CHUNK_DOCS, 4), 4.min(cap));
-        assert!(adaptive_chunks(usize::MAX, 1024) <= cap);
-        // Never more chunks than the per-chunk floor allows.
-        assert!(adaptive_chunks(3 * MIN_CHUNK_DOCS, 1024) <= 3);
     }
 
     #[test]

@@ -1,13 +1,16 @@
-//! Frame/AoS parity suite.
+//! Record-walk / kernel-scan parity suite.
 //!
-//! The columnar [`usaas::SessionFrame`] aggregation paths promise
-//! **bit-identical** results to the retained array-of-structs reference
-//! implementations: the frame visits sessions in dataset order, parallel
-//! chunks are merged in chunk order, and the finishing arithmetic is
-//! shared — so every floating-point operation happens on the same values
-//! in the same sequence. These tests pin that contract on a seeded
-//! dataset across every sweep/engagement combination and worker count,
-//! plus the empty-dataset and single-session edges.
+//! Every §3 answer has two production paths that must agree to the bit:
+//! the dataset entry points (`correlate::engagement_curve`, …,
+//! `predict::train_and_evaluate`) walk `SessionRecord`s with the same
+//! record walk the incremental views advance with, and the `*_frame`
+//! twins the service answers cold with stream [`usaas::SessionFrame`]
+//! columns through the branchless kernels. Both feed the same values in
+//! the same row order into the same finishing arithmetic, so every
+//! floating-point operation happens on the same values in the same
+//! sequence. These tests pin that contract on a seeded dataset across
+//! every sweep/engagement combination, plus the empty-dataset and
+//! single-session edges.
 
 use conference::dataset::{generate, DatasetConfig};
 use conference::records::{CallDataset, EngagementMetric, NetworkMetric};
@@ -29,8 +32,8 @@ fn frame() -> &'static SessionFrame {
     F.get_or_init(|| SessionFrame::from_dataset(dataset(), 4))
 }
 
-/// Worker counts exercised for every parallel aggregate: the inline
-/// single-chunk path, a multi-chunk fan-out, and an over-subscribed one.
+/// Worker counts the suite sweeps. The kernel scans are sequential and
+/// take no worker count, so each sweep re-asserts one fixed answer.
 const WORKER_COUNTS: [usize; 3] = [1, 4, 8];
 
 #[test]
@@ -40,9 +43,8 @@ fn engagement_curves_are_bit_identical() {
             let reference = correlate::engagement_curve(dataset(), sweep, engagement, 8, 8)
                 .expect("reference curve");
             for workers in WORKER_COUNTS {
-                let columnar =
-                    correlate::engagement_curve_frame(frame(), sweep, engagement, 8, 8, workers)
-                        .expect("frame curve");
+                let columnar = correlate::engagement_curve_frame(frame(), sweep, engagement, 8, 8)
+                    .expect("frame curve");
                 assert_eq!(
                     reference, columnar,
                     "curve mismatch: sweep {sweep:?} engagement {engagement:?} workers {workers}"
@@ -59,9 +61,8 @@ fn compounding_grids_are_bit_identical() {
             let reference = correlate::compounding_grid(dataset(), engagement, bins, 5)
                 .expect("reference grid");
             for workers in WORKER_COUNTS {
-                let columnar =
-                    correlate::compounding_grid_frame(frame(), engagement, bins, 5, workers)
-                        .expect("frame grid");
+                let columnar = correlate::compounding_grid_frame(frame(), engagement, bins, 5)
+                    .expect("frame grid");
                 assert_eq!(
                     reference, columnar,
                     "grid mismatch: engagement {engagement:?} bins {bins} workers {workers}"
@@ -78,15 +79,9 @@ fn platform_curves_are_bit_identical() {
             correlate::platform_curves(dataset(), sweep, EngagementMetric::Presence, 4, 5)
                 .expect("reference platform curves");
         for workers in WORKER_COUNTS {
-            let columnar = correlate::platform_curves_frame(
-                frame(),
-                sweep,
-                EngagementMetric::Presence,
-                4,
-                5,
-                workers,
-            )
-            .expect("frame platform curves");
+            let columnar =
+                correlate::platform_curves_frame(frame(), sweep, EngagementMetric::Presence, 4, 5)
+                    .expect("frame platform curves");
             assert_eq!(
                 reference, columnar,
                 "platform curves mismatch: sweep {sweep:?} workers {workers}"
@@ -152,7 +147,6 @@ fn empty_dataset_edges_agree() {
             EngagementMetric::Presence,
             6,
             8,
-            workers,
         );
         assert_eq!(
             format!("{reference:?}"),
@@ -160,13 +154,8 @@ fn empty_dataset_edges_agree() {
             "empty-dataset curve outcome must match (workers {workers})"
         );
         let reference = correlate::compounding_grid(&empty, EngagementMetric::Presence, 4, 5);
-        let columnar = correlate::compounding_grid_frame(
-            &empty_frame,
-            EngagementMetric::Presence,
-            4,
-            5,
-            workers,
-        );
+        let columnar =
+            correlate::compounding_grid_frame(&empty_frame, EngagementMetric::Presence, 4, 5);
         assert_eq!(format!("{reference:?}"), format!("{columnar:?}"));
     }
     assert_eq!(
@@ -204,7 +193,6 @@ fn single_session_edges_agree() {
                 EngagementMetric::Presence,
                 4,
                 1,
-                workers,
             );
             assert_eq!(
                 format!("{reference:?}"),
@@ -225,7 +213,6 @@ fn single_session_edges_agree() {
             EngagementMetric::Presence,
             4,
             1,
-            workers,
         );
         assert_eq!(format!("{reference:?}"), format!("{columnar:?}"));
     }

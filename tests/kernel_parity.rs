@@ -5,9 +5,11 @@
 //! platform splits, MOS feature gathers, sentiment tallies, and the
 //! cross-network report. Each kernel carries its own proptest twin in
 //! `analytics`; these tests pin the *routed* contract end to end: the
-//! service answers through the kernel paths bit-identically to the
-//! retained array-of-structs arithmetic, at worker counts 1/4/8, down
-//! to the degenerate single-session and no-match edges.
+//! service answers through the kernel paths bit-identically to plain
+//! array-of-structs arithmetic written out in the tests (and, for the
+//! sentiment series, to the string body in [`usaas::oracle`]), at worker
+//! counts 1/4/8, down to the degenerate single-session and no-match
+//! edges.
 
 use analytics::time::Date;
 use analytics::timeseries::DailySeries;
@@ -192,10 +194,10 @@ fn single_session_edges_are_consistent() {
 /// The sentiment-peak daily series is tallied through the branchless
 /// `masked_slot_counts` kernel (`series_from_scores`): the day offset is
 /// the slot and the strong-sentiment predicates compile to row masks.
-/// Pin it against the retained array-of-structs walk — score each post's
+/// Pin it against an array-of-structs walk — score each post's
 /// text, then `DailySeries::add` in post order with the reference
 /// `else if` (a strong-positive post never also counts negative) — and
-/// against the string-path `sentiment_series`, at every worker count.
+/// against the string oracle `oracle::sentiment_series`, at every worker count.
 #[test]
 fn sentiment_series_kernel_matches_aos_walk() {
     let forum = forum();
@@ -213,7 +215,7 @@ fn sentiment_series_kernel_matches_aos_walk() {
     }
     let aos = format!("pos={pos:?} neg={neg:?}");
     let annotator = PeakAnnotator::default();
-    let string_path = annotator.sentiment_series(forum).unwrap();
+    let string_path = usaas::oracle::sentiment_series(&annotator, forum).unwrap();
     assert_eq!(
         aos,
         format!(

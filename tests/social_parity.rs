@@ -1,15 +1,16 @@
 //! Interned/string parity suite for the §4 social pipeline.
 //!
 //! The tokenize-once substrate ([`sentiment::TokenCorpus`] and every
-//! consumer routed through it) promises **output-identical** results to
-//! the retained string-based paths: the corpus stores exactly the tokens
-//! `tokenize(post.text())` would produce, the ID-space lexicon tables
-//! mirror [`sentiment::Lexicon`] lookup for lookup, and each interned
-//! consumer accumulates in the same order as its string twin — so every
-//! floating-point operation happens on the same values in the same
-//! sequence. These tests pin that contract on a seeded forum across
-//! worker counts 1/4, plus empty/unicode/apostrophe edges and a property
-//! sweep over arbitrary text.
+//! consumer routed through it) is the only implementation the service and
+//! the public §4 entry points run. It promises **output-identical**
+//! results to the string-based bodies kept in [`usaas::oracle`]: the
+//! corpus stores exactly the tokens `tokenize(post.text())` would produce,
+//! the ID-space lexicon tables mirror [`sentiment::Lexicon`] lookup for
+//! lookup, and each interned consumer accumulates in the same order as its
+//! string oracle — so every floating-point operation happens on the same
+//! values in the same sequence. These tests pin that contract on a seeded
+//! forum across worker counts 1/4, plus empty/unicode/apostrophe edges and
+//! a property sweep over arbitrary text.
 //!
 //! One caveat, pinned here rather than papered over: `EmergingTopicMiner`
 //! drains its detections from a `HashMap`, so same-day flags come back in
@@ -28,6 +29,7 @@ use std::sync::OnceLock;
 use usaas::annotate::PeakAnnotator;
 use usaas::emerging::{EmergingTopic, EmergingTopicMiner};
 use usaas::fulcrum::FulcrumAnalysis;
+use usaas::oracle;
 use usaas::outage::OutageDetector;
 
 /// Worker counts exercised everywhere: the inline single-chunk path and a
@@ -188,7 +190,7 @@ fn day_clouds_are_identical() {
         end.offset(1),
     ];
     for date in days {
-        let reference = annotator.day_cloud(forum(), date, 30);
+        let reference = oracle::day_cloud(forum(), date, 30);
         let interned = annotator.day_cloud_interned(forum(), corpus(), date, 30);
         assert_eq!(reference, interned, "cloud mismatch on {date}");
     }
@@ -202,8 +204,8 @@ fn day_clouds_are_identical() {
 #[test]
 fn outage_detection_is_identical() {
     let det = OutageDetector::default();
-    let ref_series = det.keyword_series(forum()).unwrap();
-    let ref_detections = det.detect(forum()).unwrap();
+    let ref_series = oracle::keyword_series(&det, forum()).unwrap();
+    let ref_detections = oracle::detect(&det, forum()).unwrap();
     for workers in WORKER_COUNTS {
         let series = det
             .keyword_series_interned(forum(), corpus(), workers)
@@ -225,7 +227,7 @@ fn outage_detection_is_identical() {
         ..OutageDetector::default()
     };
     assert_eq!(
-        ablated.detect(forum()).unwrap(),
+        oracle::detect(&ablated, forum()).unwrap(),
         ablated.detect_interned(forum(), corpus(), 4).unwrap()
     );
 }
@@ -233,8 +235,8 @@ fn outage_detection_is_identical() {
 #[test]
 fn annotated_peaks_are_identical() {
     let annotator = PeakAnnotator::default();
-    let ref_series = annotator.sentiment_series(forum()).unwrap();
-    let reference = annotator.annotate(forum(), 5).unwrap();
+    let ref_series = oracle::sentiment_series(&annotator, forum()).unwrap();
+    let reference = oracle::annotate(&annotator, forum(), 5).unwrap();
     for workers in WORKER_COUNTS {
         let series = annotator
             .sentiment_series_interned(forum(), corpus(), workers)
@@ -263,7 +265,7 @@ fn topic_key(t: &EmergingTopic) -> (Date, String) {
 #[test]
 fn emerging_topics_are_identical() {
     let miner = EmergingTopicMiner::default();
-    let mut reference = miner.mine(forum()).unwrap();
+    let mut reference = oracle::mine(&miner, forum()).unwrap();
     let mut interned = miner.mine_interned(forum(), corpus()).unwrap();
     reference.sort_by_key(topic_key);
     interned.sort_by_key(topic_key);
@@ -278,7 +280,7 @@ fn fulcrum_series_is_identical() {
     let analysis = FulcrumAnalysis::default();
     let start = Month::new(2021, 1).unwrap();
     let end = Month::new(2022, 12).unwrap();
-    let reference = analysis.analyze(forum(), start, end).unwrap();
+    let reference = oracle::analyze(&analysis, forum(), start, end).unwrap();
     let interned = analysis
         .analyze_interned(forum(), corpus(), start, end)
         .unwrap();
@@ -318,12 +320,15 @@ fn edge_forum_agrees_everywhere() {
         // Detector/annotator run end to end on the edge corpus too.
         let det = OutageDetector::default();
         assert_eq!(
-            det.detect(&forum).unwrap(),
+            oracle::detect(&det, &forum).unwrap(),
             det.detect_interned(&forum, &corpus, workers).unwrap()
         );
         let annotator = PeakAnnotator::default();
         assert_eq!(
-            format!("{:?}", annotator.sentiment_series(&forum).unwrap()),
+            format!(
+                "{:?}",
+                oracle::sentiment_series(&annotator, &forum).unwrap()
+            ),
             format!(
                 "{:?}",
                 annotator
@@ -341,7 +346,7 @@ fn empty_forum_edges_agree() {
     assert!(corpus.is_empty());
     let det = OutageDetector::default();
     assert_eq!(
-        format!("{:?}", det.keyword_series(&forum).err()),
+        format!("{:?}", oracle::keyword_series(&det, &forum).err()),
         format!(
             "{:?}",
             det.keyword_series_interned(&forum, &corpus, 4).err()
@@ -349,7 +354,7 @@ fn empty_forum_edges_agree() {
     );
     let annotator = PeakAnnotator::default();
     assert_eq!(
-        format!("{:?}", annotator.annotate(&forum, 3).err()),
+        format!("{:?}", oracle::annotate(&annotator, &forum, 3).err()),
         format!(
             "{:?}",
             annotator.annotate_interned(&forum, &corpus, 3, 4).err()
@@ -357,13 +362,13 @@ fn empty_forum_edges_agree() {
     );
     let miner = EmergingTopicMiner::default();
     assert_eq!(
-        format!("{:?}", miner.mine(&forum).err()),
+        format!("{:?}", oracle::mine(&miner, &forum).err()),
         format!("{:?}", miner.mine_interned(&forum, &corpus).err())
     );
     let fulcrum = FulcrumAnalysis::default();
     let (start, end) = (Month::new(2021, 1).unwrap(), Month::new(2021, 3).unwrap());
     assert_eq!(
-        format!("{:?}", fulcrum.analyze(&forum, start, end).err()),
+        format!("{:?}", oracle::analyze(&fulcrum, &forum, start, end).err()),
         format!(
             "{:?}",
             fulcrum.analyze_interned(&forum, &corpus, start, end).err()
@@ -453,18 +458,21 @@ mod service_level {
         let Answer::Outages(outages) = svc.query(&Query::OutageTimeline).unwrap() else {
             panic!("wrong answer type");
         };
-        assert_eq!(outages, OutageDetector::default().detect(forum).unwrap());
+        assert_eq!(
+            outages,
+            oracle::detect(&OutageDetector::default(), forum).unwrap()
+        );
 
         let Answer::Peaks(peaks) = svc.query(&Query::SentimentPeaks { k: 3 }).unwrap() else {
             panic!("wrong answer type");
         };
-        let reference = PeakAnnotator::default().annotate(forum, 3).unwrap();
+        let reference = oracle::annotate(&PeakAnnotator::default(), forum, 3).unwrap();
         assert_eq!(format!("{peaks:?}"), format!("{reference:?}"));
 
         let Answer::Topics(mut topics) = svc.query(&Query::EmergingTopics).unwrap() else {
             panic!("wrong answer type");
         };
-        let mut reference = EmergingTopicMiner::default().mine(forum).unwrap();
+        let mut reference = oracle::mine(&EmergingTopicMiner::default(), forum).unwrap();
         topics.sort_by_key(topic_key);
         reference.sort_by_key(topic_key);
         assert_eq!(topics, reference);
@@ -476,9 +484,7 @@ mod service_level {
             .date_range()
             .map(|(a, b)| (a.month(), b.month()))
             .unwrap();
-        let reference = FulcrumAnalysis::default()
-            .analyze(forum, first, last)
-            .unwrap();
+        let reference = oracle::analyze(&FulcrumAnalysis::default(), forum, first, last).unwrap();
         assert_eq!(speeds, reference);
     }
 
