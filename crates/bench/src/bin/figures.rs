@@ -45,6 +45,8 @@ fn main() {
         forum.len(),
         forum.speed_shares().count()
     );
+    // Tokenized once; every §4 section below runs on this corpus.
+    let corpus = forum.token_corpus(1);
 
     // ---- F1: the four engagement panels -------------------------------
     for (tag, sweep) in [
@@ -179,7 +181,9 @@ fn main() {
 
     // ---- F5: sentiment peaks ----------------------------------------------
     let annotator = PeakAnnotator::default();
-    let peaks = annotator.annotate(&forum, 3).expect("peaks");
+    let peaks = annotator
+        .annotate_interned(&forum, &corpus, 3, 1)
+        .expect("peaks");
     let mut f5 = String::new();
     let _ = writeln!(summary, "## fig5_sentiment_peaks");
     for (i, p) in peaks.iter().enumerate() {
@@ -205,14 +209,21 @@ fn main() {
     }
     let _ = writeln!(summary);
     // F5b: the Apr 22 cloud.
-    let cloud = annotator.day_cloud(&forum, Date::from_ymd(2022, 4, 22).expect("date"), 15);
+    let cloud = annotator.day_cloud_interned(
+        &forum,
+        &corpus,
+        Date::from_ymd(2022, 4, 22).expect("date"),
+        15,
+    );
     let _ = writeln!(f5, "\nword cloud 2022-04-22:\n{cloud}");
     fs::write("results/fig5_sentiment_peaks.txt", &f5).expect("write");
     eprintln!("wrote results/fig5_sentiment_peaks.txt");
 
     // ---- F6: outages --------------------------------------------------------
     let detector = OutageDetector::default();
-    let series = detector.keyword_series(&forum).expect("series");
+    let series = detector
+        .keyword_series_interned(&forum, &corpus, 1)
+        .expect("series");
     let mut f6 = String::from("date,keyword_occurrences\n");
     for (date, v) in series.iter() {
         if v > 0.0 {
@@ -220,7 +231,9 @@ fn main() {
         }
     }
     fs::write("results/fig6_outages.csv", &f6).expect("write");
-    let detections = detector.detect(&forum).expect("detect");
+    let detections = detector
+        .detect_interned(&forum, &corpus, 1)
+        .expect("detect");
     let truth = starlink::outages::outage_timeline(
         Date::from_ymd(2021, 1, 1).expect("date"),
         Date::from_ymd(2022, 12, 31).expect("date"),
@@ -238,8 +251,9 @@ fn main() {
 
     // ---- F7: speeds + fulcrum ----------------------------------------------
     let fig7 = FulcrumAnalysis::default()
-        .analyze(
+        .analyze_interned(
             &forum,
+            &corpus,
             Month::new(2021, 1).expect("m"),
             Month::new(2022, 12).expect("m"),
         )
@@ -262,7 +276,10 @@ fn main() {
         comments / weeks,
         forum.speed_shares().count()
     );
-    if let Ok(Some(roaming)) = EmergingTopicMiner::default().first_detection(&forum, "roaming") {
+    let roaming = EmergingTopicMiner::default()
+        .mine_interned(&forum, &corpus)
+        .map(|topics| topics.into_iter().find(|t| t.term == "roaming"));
+    if let Ok(Some(roaming)) = roaming {
         let tweet = Date::from_ymd(2022, 3, 3).expect("date");
         let _ = writeln!(
             summary,

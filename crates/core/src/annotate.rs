@@ -18,6 +18,7 @@ use sentiment::news::NewsIndex;
 use sentiment::wordcloud::WordCloud;
 use serde::Serialize;
 use social::post::{Forum, Post};
+use std::collections::HashSet;
 
 /// Word-cloud size used when annotating a peak day.
 pub(crate) const CLOUD_WORDS: usize = 30;
@@ -227,30 +228,31 @@ impl PeakAnnotator {
         scores: &[SentimentScores],
         series: SentimentSeries,
     ) -> Result<Vec<AnnotatedPeak>, AnalyticsError> {
-        let score_day = |date: Date| -> Vec<(&Post, SentimentScores)> {
-            forum
-                .posts
-                .iter()
-                .zip(scores)
-                .filter(|(p, _)| p.date == date)
-                .map(|(p, s)| (p, *s))
-                .collect()
+        let countries_on = |date: Date| {
+            strong_countries(
+                forum
+                    .posts
+                    .iter()
+                    .zip(scores.iter().copied())
+                    .filter(|(p, _)| p.date == date),
+            )
+            .len()
         };
         let cloud_day = |date: Date| self.day_cloud_interned(forum, corpus, date, CLOUD_WORDS);
-        self.annotate_with(forum, k, series, cloud_day, score_day)
+        self.annotate_with(k, series, cloud_day, countries_on)
     }
 
     /// Shared annotation tail: peak finding, cloud/news/country assembly.
-    /// `cloud_day` and `score_day` abstract over string vs interned access
-    /// so the interned path and the string oracle run literally the same
-    /// logic.
-    pub(crate) fn annotate_with<'f>(
+    /// `cloud_day` and `countries_on` abstract over string vs interned
+    /// access (and over one forum vs merged partitions), so the interned
+    /// path, the string oracle and the cluster router run literally the
+    /// same logic.
+    pub(crate) fn annotate_with(
         &self,
-        _forum: &'f Forum,
         k: usize,
         series: SentimentSeries,
         cloud_day: impl Fn(Date) -> WordCloud,
-        score_day: impl Fn(Date) -> Vec<(&'f Post, SentimentScores)>,
+        countries_on: impl Fn(Date) -> usize,
     ) -> Result<Vec<AnnotatedPeak>, AnalyticsError> {
         let combined = series.combined();
         let peaks = combined.peaks(self.min_peak_score, self.refractory_days);
@@ -278,22 +280,29 @@ impl PeakAnnotator {
                 .collect();
             let pos = series.strong_positive.get(peak.date).unwrap_or(0.0);
             let neg = series.strong_negative.get(peak.date).unwrap_or(0.0);
-            let countries: std::collections::HashSet<&str> = score_day(peak.date)
-                .into_iter()
-                .filter(|(_, s)| s.is_strong_positive() || s.is_strong_negative())
-                .map(|(p, _)| p.country)
-                .collect();
             out.push(AnnotatedPeak {
                 date: peak.date,
                 strong_posts: peak.value,
                 positive_dominated: pos >= neg,
                 top_words,
                 headlines,
-                countries: countries.len(),
+                countries: countries_on(peak.date),
             });
         }
         Ok(out)
     }
+}
+
+/// Countries of the strong-sentiment posts among `posts` — a peak day's
+/// corroboration signal when no news covers it.
+pub(crate) fn strong_countries<'a>(
+    posts: impl IntoIterator<Item = (&'a Post, SentimentScores)>,
+) -> HashSet<&'static str> {
+    posts
+        .into_iter()
+        .filter(|(_, s)| s.is_strong_positive() || s.is_strong_negative())
+        .map(|(p, _)| p.country)
+        .collect()
 }
 
 #[cfg(test)]

@@ -10,14 +10,16 @@
 //! interned paths against an independent implementation. No production
 //! code calls them.
 
-use crate::annotate::{AnnotatedPeak, PeakAnnotator, SentimentSeries, CLOUD_WORDS};
+use crate::annotate::{
+    strong_countries, AnnotatedPeak, PeakAnnotator, SentimentSeries, CLOUD_WORDS,
+};
 use crate::emerging::{sort_detections, EmergingTopic, EmergingTopicMiner};
 use crate::fulcrum::{FulcrumAnalysis, MonthlyPoint};
 use crate::outage::{DetectedOutage, OutageDetector};
 use analytics::time::{Date, Month};
 use analytics::timeseries::DailySeries;
 use analytics::AnalyticsError;
-use sentiment::analyzer::{SentimentAnalyzer, SentimentScores};
+use sentiment::analyzer::SentimentAnalyzer;
 use sentiment::ngram::NgramCounts;
 use sentiment::wordcloud::WordCloud;
 use social::post::{Forum, Post};
@@ -48,10 +50,7 @@ pub fn keyword_series(det: &OutageDetector, forum: &Forum) -> Result<DailySeries
 
 /// Detect outage days: spikes of the keyword series.
 pub fn detect(det: &OutageDetector, forum: &Forum) -> Result<Vec<DetectedOutage>, AnalyticsError> {
-    let series = keyword_series(det, forum)?;
-    Ok(OutageDetector::peaks_to_detections(
-        series.peaks(det.min_peak_score, det.refractory_days),
-    ))
+    Ok(det.detections_in(&keyword_series(det, forum)?))
 }
 
 /// Compute the daily strong-sentiment series.
@@ -89,14 +88,16 @@ pub fn annotate(
     k: usize,
 ) -> Result<Vec<AnnotatedPeak>, AnalyticsError> {
     let series = sentiment_series(annotator, forum)?;
-    let score_day = |date: Date| -> Vec<(&Post, SentimentScores)> {
-        forum
-            .on(date)
-            .map(|p| (p, annotator.analyzer.score(&p.text())))
-            .collect()
+    let countries_on = |date: Date| {
+        strong_countries(
+            forum
+                .on(date)
+                .map(|p| (p, annotator.analyzer.score(&p.text()))),
+        )
+        .len()
     };
     let cloud_day = |date: Date| day_cloud(forum, date, CLOUD_WORDS);
-    annotator.annotate_with(forum, k, series, cloud_day, score_day)
+    annotator.annotate_with(k, series, cloud_day, countries_on)
 }
 
 /// Mine the corpus; returns the first detection per term, ordered by flag

@@ -174,13 +174,14 @@ impl OutageDetector {
         workers: usize,
     ) -> Result<Vec<DetectedOutage>, AnalyticsError> {
         let series = self.keyword_series_interned(forum, corpus, workers)?;
-        Ok(Self::peaks_to_detections(
-            series.peaks(self.min_peak_score, self.refractory_days),
-        ))
+        Ok(self.detections_in(&series))
     }
 
-    pub(crate) fn peaks_to_detections(peaks: Vec<Peak>) -> Vec<DetectedOutage> {
-        peaks
+    /// The detections of a keyword series: its robust-z peaks under this
+    /// detector's thresholds.
+    pub(crate) fn detections_in(&self, series: &DailySeries) -> Vec<DetectedOutage> {
+        series
+            .peaks(self.min_peak_score, self.refractory_days)
             .into_iter()
             .map(|Peak { date, value, score }| DetectedOutage {
                 date,

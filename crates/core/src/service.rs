@@ -20,7 +20,7 @@ use crate::emerging::{EmergingTopic, EmergingTopicMiner};
 use crate::frame::SessionFrame;
 use crate::fulcrum::{FulcrumAnalysis, MonthlyPoint};
 use crate::ingest::{self, IngestConfig, IngestReport, QuarantineEntry};
-use crate::outage::{DetectedOutage, OutageDetector};
+use crate::outage::DetectedOutage;
 use crate::persist::{
     self, CompactionReport, Journal, JournalRecord, JournalStats, PersistError, PersistedHealth,
     SnapshotContents, JOURNAL_FILE,
@@ -377,7 +377,7 @@ pub struct Generation {
     /// Default-detector outage run, computed once and shared by the
     /// `OutageTimeline` and `CrossNetwork` queries (both need the same
     /// detection pass; the corpus is immutable within a generation).
-    outage_cache: OnceLock<Result<Vec<DetectedOutage>, AnalyticsError>>,
+    outage_cache: OnceLock<Result<Vec<DetectedOutage>, UsaasError>>,
     /// Memoized answers: every aggregate is a pure function of this
     /// generation's immutable corpus, so each distinct query computes once
     /// per epoch and repeats are cloned from the cache.
@@ -466,31 +466,13 @@ impl Generation {
     /// here when absent, so appends carry the keyword series forward
     /// instead of re-scanning the corpus).
     fn outage_detections(&self) -> Result<&[DetectedOutage], UsaasError> {
-        match self.outage_cache.get_or_init(|| {
-            let view = match self.views.get(&ViewKey::Outage) {
-                Some(view) => view,
-                None => self.views.install(
-                    ViewKey::Outage,
-                    View::Outage(OutageView::rebuild(
-                        &self.forum,
-                        self.social_corpus(),
-                        self.workers,
-                    )),
-                ),
-            };
-            if let View::Outage(v) = &*view {
-                v.finish()
-            } else {
-                OutageDetector::default().detect_interned(
-                    &self.forum,
-                    self.social_corpus(),
-                    self.workers,
-                )
-            }
-        }) {
-            Ok(d) => Ok(d),
-            Err(e) => Err(UsaasError::Analytics(e.clone())),
-        }
+        self.outage_cache
+            .get_or_init(|| match &*self.view(ViewKey::Outage)? {
+                View::Outage(v) => Ok(v.finish()?),
+                _ => unreachable!("ViewKey::Outage holds an outage view"),
+            })
+            .as_deref()
+            .map_err(Clone::clone)
     }
 
     /// The materialized views installed on this generation (read access —
@@ -531,8 +513,9 @@ impl Generation {
     }
 
     /// The installed view for `key`, rebuilding and installing it when this
-    /// generation does not carry one.
-    fn view(&self, key: ViewKey) -> Result<Arc<View>, UsaasError> {
+    /// generation does not carry one. The cluster router reads partition
+    /// state through this.
+    pub(crate) fn view(&self, key: ViewKey) -> Result<Arc<View>, UsaasError> {
         if let Some(view) = self.views.get(&key) {
             return Ok(view);
         }
@@ -545,8 +528,9 @@ impl Generation {
     /// [`Generation::answer_fresh`] exactly, and errors (e.g. a zero bin
     /// count) surface as the same [`AnalyticsError`] the full compute
     /// raises, so routing through views never changes an answer — only the
-    /// cost of producing it.
-    fn materialize_view(&self, key: ViewKey) -> Result<View, UsaasError> {
+    /// cost of producing it. The cluster's `answer_fresh` merges these
+    /// uninstalled cold builds.
+    pub(crate) fn materialize_view(&self, key: ViewKey) -> Result<View, UsaasError> {
         Ok(match key {
             ViewKey::Curve {
                 sweep,
@@ -771,36 +755,12 @@ impl Generation {
     }
 
     /// Convert per-country strong-negative social volume into the planner's
-    /// latitude-band demand signal (§6). Scores every post once over the
-    /// interned corpus (chunk-parallel), then tallies country bands through
-    /// the branchless [`kernels::masked_slot_counts`] scatter — band
-    /// weights are integer counts, so the demand vector is identical to
-    /// the per-post string walk it replaced.
+    /// latitude-band demand signal (§6): a cold [`DeploymentView`] build
+    /// over the whole corpus, finished at once.
     fn sentiment_demand(&self) -> Result<RegionalDemand, UsaasError> {
-        let analyzer = sentiment::analyzer::SentimentAnalyzer::default();
-        let scores = analyzer.score_corpus(self.social_corpus(), self.workers);
-        let slots: Vec<u32> = self
-            .forum
-            .posts
-            .iter()
-            .map(|p| country_lat_band(p.country) as u32)
-            .collect();
-        let neg = kernels::RowMask::from_fn(slots.len(), |i| scores[i].is_strong_negative());
-        let counts = kernels::masked_slot_counts(&slots, 9, &neg);
-        let mut weights = [0.0f64; 9];
-        for (w, c) in weights.iter_mut().zip(counts) {
-            *w = c as f64;
-        }
-        let total: f64 = weights.iter().sum();
-        if total == 0.0 {
-            return Err(UsaasError::NoData("no strong-negative social signals"));
-        }
-        for w in weights.iter_mut() {
-            *w /= total;
-        }
-        Ok(RegionalDemand {
-            band_weights: weights,
-        })
+        DeploymentView::rebuild(&self.forum, self.social_corpus(), self.workers)
+            .finish()
+            .ok_or(UsaasError::NoData("no strong-negative social signals"))
     }
 }
 

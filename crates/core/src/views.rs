@@ -462,6 +462,16 @@ impl SentimentView {
         })
     }
 
+    /// Per-post scores, indexed by document.
+    pub(crate) fn scores(&self) -> &[SentimentScores] {
+        &self.scores
+    }
+
+    /// The strong-sentiment day series (`Err` on an empty forum).
+    pub(crate) fn series(&self) -> Result<&SentimentSeries, &AnalyticsError> {
+        self.series.as_ref()
+    }
+
     /// Finishing pass: the Fig. 5 annotation tail over carried scores.
     pub(crate) fn finish(
         &self,
@@ -549,14 +559,16 @@ impl OutageView {
         })
     }
 
+    /// The keyword-occurrence day series (`Err` on an empty forum).
+    pub(crate) fn series(&self) -> Result<&DailySeries, &AnalyticsError> {
+        self.series.as_ref()
+    }
+
     /// Finishing pass: robust-z peaks of the carried series, mapped to
     /// detections with the default detector's thresholds.
     pub(crate) fn finish(&self) -> Result<Vec<DetectedOutage>, AnalyticsError> {
         let series = self.series.as_ref().map_err(Clone::clone)?;
-        let detector = OutageDetector::default();
-        Ok(OutageDetector::peaks_to_detections(
-            series.peaks(detector.min_peak_score, detector.refractory_days),
-        ))
+        Ok(OutageDetector::default().detections_in(series))
     }
 }
 
@@ -616,22 +628,32 @@ impl DeploymentView {
         Some(next)
     }
 
-    /// Finishing pass: normalise band counts into the planner's demand
-    /// vector; `None` when no strong-negative signal exists (the service
-    /// maps this to its `NoData` answer).
-    pub(crate) fn finish(&self) -> Option<RegionalDemand> {
-        let total: f64 = self.weights.iter().sum();
-        if total == 0.0 {
-            return None;
-        }
-        let mut weights = self.weights;
-        for w in weights.iter_mut() {
-            *w /= total;
-        }
-        Some(RegionalDemand {
-            band_weights: weights,
-        })
+    /// Strong-negative post counts per latitude band.
+    pub(crate) fn band_counts(&self) -> [f64; 9] {
+        self.weights
     }
+
+    /// Finishing pass: [`regional_demand`] over the carried band counts.
+    pub(crate) fn finish(&self) -> Option<RegionalDemand> {
+        regional_demand(self.weights)
+    }
+}
+
+/// Normalise strong-negative band counts into the planner's demand vector;
+/// `None` when no strong-negative signal exists (the service maps this to
+/// its `NoData` answer).
+pub(crate) fn regional_demand(counts: [f64; 9]) -> Option<RegionalDemand> {
+    let total: f64 = counts.iter().sum();
+    if total == 0.0 {
+        return None;
+    }
+    let mut weights = counts;
+    for w in weights.iter_mut() {
+        *w /= total;
+    }
+    Some(RegionalDemand {
+        band_weights: weights,
+    })
 }
 
 /// Fig. 7 view: the memoized per-post work of the speed-trend pipeline —
@@ -685,6 +707,11 @@ impl SpeedTrendView {
         }
         next.docs_seen = delta.forum.len();
         Some(next)
+    }
+
+    /// The memoized per-post shots, indexed by document.
+    pub(crate) fn shots(&self) -> &[Option<fulcrum::DocShot>] {
+        &self.shots
     }
 
     /// Finishing pass: the month loop over memoized shots.
