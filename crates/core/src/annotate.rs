@@ -8,6 +8,7 @@
 //! Apr 22 '22 outage being the paper's showcase, corroborated instead by
 //! the number of distinct poster countries.
 
+use crate::chunks::PostRead;
 use analytics::kernels::{self, RowMask};
 use analytics::time::Date;
 use analytics::timeseries::DailySeries;
@@ -116,7 +117,7 @@ impl PeakAnnotator {
     /// post, so the series is identical for every worker count.
     pub fn sentiment_series_interned(
         &self,
-        forum: &Forum,
+        forum: &impl PostRead,
         corpus: &TokenCorpus,
         workers: usize,
     ) -> Result<SentimentSeries, AnalyticsError> {
@@ -127,7 +128,7 @@ impl PeakAnnotator {
     /// Score every post of the forum by interned ids.
     pub(crate) fn score_posts(
         &self,
-        forum: &Forum,
+        forum: &impl PostRead,
         corpus: &TokenCorpus,
         workers: usize,
     ) -> Vec<SentimentScores> {
@@ -146,13 +147,12 @@ impl PeakAnnotator {
     /// a per-post `DailySeries::add` walk at any scan order.
     pub(crate) fn series_from_scores(
         &self,
-        forum: &Forum,
+        forum: &impl PostRead,
         scores: &[SentimentScores],
     ) -> Result<SentimentSeries, AnalyticsError> {
         let (start, end) = forum.date_range().ok_or(AnalyticsError::Empty)?;
         let days = (end.days_since(start) + 1) as usize;
         let slots: Vec<u32> = forum
-            .posts
             .iter()
             .map(|p| p.date.days_since(start) as u32)
             .collect();
@@ -181,13 +181,12 @@ impl PeakAnnotator {
     /// the day's unigrams by interned id without re-reading any post text.
     pub fn day_cloud_interned(
         &self,
-        forum: &Forum,
+        forum: &impl PostRead,
         corpus: &TokenCorpus,
         date: Date,
         max_words: usize,
     ) -> WordCloud {
         let docs = forum
-            .posts
             .iter()
             .enumerate()
             .filter(move |(_, p)| p.date == date)
@@ -207,7 +206,7 @@ impl PeakAnnotator {
     /// count interned ids. Output is identical to the string oracle.
     pub fn annotate_interned(
         &self,
-        forum: &Forum,
+        forum: &impl PostRead,
         corpus: &TokenCorpus,
         k: usize,
         workers: usize,
@@ -217,23 +216,23 @@ impl PeakAnnotator {
         self.annotate_from_scores(forum, corpus, k, &scores, series)
     }
 
-    /// The annotation tail over precomputed per-post scores and the daily
-    /// series — the incremental sentiment view carries both across epochs
-    /// and calls this directly, skipping the scoring pass entirely.
-    pub(crate) fn annotate_from_scores(
+    /// The annotation tail over precomputed per-post scores (in document
+    /// order, flat or chunked) and the daily series — the incremental
+    /// sentiment view carries both across epochs and calls this directly,
+    /// skipping the scoring pass entirely.
+    pub(crate) fn annotate_from_scores<'s>(
         &self,
-        forum: &Forum,
+        forum: &impl PostRead,
         corpus: &TokenCorpus,
         k: usize,
-        scores: &[SentimentScores],
+        scores: impl IntoIterator<Item = &'s SentimentScores> + Copy,
         series: SentimentSeries,
     ) -> Result<Vec<AnnotatedPeak>, AnalyticsError> {
         let countries_on = |date: Date| {
             strong_countries(
                 forum
-                    .posts
                     .iter()
-                    .zip(scores.iter().copied())
+                    .zip(scores.into_iter().copied())
                     .filter(|(p, _)| p.date == date),
             )
             .len()

@@ -602,10 +602,10 @@ impl ClusterSnapshot {
                 .map(|&date| {
                     let mut counts = IdNgramCounts::new();
                     let mut posts = Vec::new();
-                    for (i, post) in g.forum().posts.iter().enumerate() {
+                    for ((i, post), &score) in g.forum().iter().enumerate().zip(scores) {
                         if post.date == date {
                             counts.add_unigrams(corpus, i, 1.0);
-                            posts.push((post, scores[i]));
+                            posts.push((post, score));
                         }
                     }
                     // Full table — truncating here would corrupt the merge.
@@ -655,7 +655,6 @@ impl ClusterSnapshot {
                 unreachable!("ViewKey::SpeedTrend holds a speed-trend view")
             };
             Ok(g.forum()
-                .posts
                 .iter()
                 .map(|post| post.date)
                 .zip(v.shots().iter().copied())
@@ -688,7 +687,7 @@ impl ClusterSnapshot {
             let corpus = g.social_corpus();
             let vocab = corpus.vocab();
             let mut days: DayTerms = BTreeMap::new();
-            for (i, p) in g.forum().posts.iter().enumerate() {
+            for (i, p) in g.forum().iter().enumerate() {
                 let mut counts = IdNgramCounts::new();
                 counts.add_unigrams(corpus, i, p.engagement_weight());
                 let day = days.entry(p.date.days()).or_default();
@@ -764,7 +763,7 @@ impl ClusterSnapshot {
                 .map(|(term, from, to, _, _)| {
                     let mut locals = Vec::new();
                     let mut pols = Vec::new();
-                    for (i, p) in g.forum().posts.iter().enumerate() {
+                    for (i, p) in g.forum().iter().enumerate() {
                         if p.date >= *from
                             && p.date <= *to
                             && (p.title.to_lowercase().contains(term)
@@ -1877,7 +1876,14 @@ mod tests {
             cluster.parts.iter().map(UsaasService::snapshot).collect();
         let mut committed_without_posts = 0;
         for (p, (b, a)) in before.iter().zip(&after).enumerate() {
-            let shared = std::ptr::eq(b.forum(), a.forum());
+            // Shared: the same chain of the same `Arc`'d chunks. The target
+            // partition shares every earlier chunk and appends the post.
+            let (b_chunks, a_chunks) = (b.forum().chunks(), a.forum().chunks());
+            assert!(b_chunks
+                .iter()
+                .zip(a_chunks)
+                .all(|(x, y)| Arc::ptr_eq(x, y)));
+            let shared = a_chunks.len() == b_chunks.len();
             assert_eq!(shared, p != target, "partition {p}");
             if p != target && a.epoch() > b.epoch() {
                 committed_without_posts += 1;

@@ -11,6 +11,7 @@
 //! cares about. It reports the first flag date per term so lead times
 //! against official announcements can be measured.
 
+use crate::chunks::PostRead;
 use analytics::time::Date;
 use analytics::AnalyticsError;
 use sentiment::analyzer::SentimentAnalyzer;
@@ -83,7 +84,7 @@ impl EmergingTopicMiner {
     /// epochs.
     pub fn mine_interned(
         &self,
-        forum: &Forum,
+        forum: &impl PostRead,
         corpus: &TokenCorpus,
     ) -> Result<Vec<EmergingTopic>, AnalyticsError> {
         let mut state = self.mine_start(forum, corpus)?;
@@ -96,7 +97,7 @@ impl EmergingTopicMiner {
     /// first window. No windows are evaluated yet.
     pub(crate) fn mine_start(
         &self,
-        forum: &Forum,
+        forum: &impl PostRead,
         corpus: &TokenCorpus,
     ) -> Result<MineState, AnalyticsError> {
         if corpus.docs() != forum.len() {
@@ -139,7 +140,12 @@ impl EmergingTopicMiner {
     /// state settled at `last − 1`, which absorbs posts dated on or after
     /// the last mined day, and runs a clone of it through the one tail
     /// window ending on `last`.
-    pub(crate) fn mine_run(&self, forum: &Forum, corpus: &TokenCorpus, state: &mut MineState) {
+    pub(crate) fn mine_run(
+        &self,
+        forum: &impl PostRead,
+        corpus: &TokenCorpus,
+        state: &mut MineState,
+    ) {
         let analyzer = SentimentAnalyzer::default();
         let vocab = corpus.vocab();
         /// Share floor: the share a never-seen term is treated as having had.
@@ -149,7 +155,7 @@ impl EmergingTopicMiner {
             let win_start = state.cursor;
             let win_end = state.cursor.offset(self.window_days - 1);
             let mut counts = IdNgramCounts::new();
-            let posts: Vec<(usize, &Post)> = between(forum, win_start, win_end).collect();
+            let posts = between(forum, win_start, win_end);
             for &(i, p) in &posts {
                 counts.add_unigrams(corpus, i, p.engagement_weight());
             }
@@ -248,12 +254,16 @@ impl MineState {
 }
 
 /// `Forum::between` by document index, so windows address the corpus.
-fn between(forum: &Forum, from: Date, to: Date) -> impl Iterator<Item = (usize, &Post)> {
-    forum
-        .posts
-        .iter()
-        .enumerate()
-        .filter(move |(_, p)| p.date >= from && p.date <= to)
+/// Collected through `for_each`, which walks a chunked forum as one plain
+/// slice loop per chunk.
+fn between(forum: &impl PostRead, from: Date, to: Date) -> Vec<(usize, &Post)> {
+    let mut window = Vec::new();
+    forum.iter().enumerate().for_each(|(i, p)| {
+        if p.date >= from && p.date <= to {
+            window.push((i, p));
+        }
+    });
+    window
 }
 
 /// Canonical detection order: flag date, then term. Pinning the tie order

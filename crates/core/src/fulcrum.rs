@@ -9,6 +9,7 @@
 //! and negative) posts in a month"*), and annotate each month with the
 //! launch count and the latest public subscriber report.
 
+use crate::chunks::PostRead;
 use analytics::sampling::subsample;
 use analytics::time::{Date, Month};
 use analytics::AnalyticsError;
@@ -128,7 +129,7 @@ impl FulcrumAnalysis {
     /// the series is identical.
     pub fn analyze_interned(
         &self,
-        forum: &Forum,
+        forum: &impl PostRead,
         corpus: &sentiment::corpus::TokenCorpus,
         start: Month,
         end: Month,
@@ -149,43 +150,32 @@ impl FulcrumAnalysis {
     }
 
     /// The month loop with per-post sentiment from `score` (interned ids
-    /// here, string text in the parity oracle).
+    /// here, string text in the parity oracle), each post evaluated lazily
+    /// into its [`DocShot`].
     pub(crate) fn analyze_with(
         &self,
-        forum: &Forum,
+        forum: &impl PostRead,
         start: Month,
         end: Month,
         score: impl Fn(usize, &social::post::Post) -> sentiment::SentimentScores,
     ) -> Result<Vec<MonthlyPoint>, AnalyticsError> {
-        self.analyze_shots(forum, start, end, |i, post| {
-            DocShot::eval(post, || score(i, post))
+        let posts: Vec<&social::post::Post> = forum.iter().collect();
+        let dates: Vec<Date> = posts.iter().map(|p| p.date).collect();
+        self.analyze_dated_shots(&dates, start, end, |i| {
+            DocShot::eval(posts[i], || score(i, posts[i]))
         })
     }
 
-    /// The month loop over pre-evaluated per-post work: `shot_of` hands back
-    /// the [`DocShot`] for a post (or `None` for non-screenshot posts). The
-    /// loop structure — including which months advance the subsample RNG —
-    /// depends only on the shots, so running this over memoized shots
-    /// ([`crate::views::SpeedTrendView`]) is bit-identical to the inline
-    /// extraction path.
-    pub(crate) fn analyze_shots(
-        &self,
-        forum: &Forum,
-        start: Month,
-        end: Month,
-        shot_of: impl Fn(usize, &social::post::Post) -> Option<DocShot>,
-    ) -> Result<Vec<MonthlyPoint>, AnalyticsError> {
-        let dates: Vec<Date> = forum.posts.iter().map(|p| p.date).collect();
-        self.analyze_dated_shots(&dates, start, end, |i| shot_of(i, &forum.posts[i]))
-    }
-
-    /// The [`FulcrumAnalysis::analyze_shots`] month loop driven by a bare
-    /// per-post date column — the loop never reads anything else of a
-    /// post, so a caller holding only dates and per-doc [`DocShot`]s (the
-    /// cluster router merging partition partials in global post order) can
-    /// replay it bit-identically without materialising a merged forum.
-    /// `shot_at` is invoked lazily, only for posts inside the analysed
-    /// month range — the same evaluation set as the forum-driven path.
+    /// The month loop driven by a bare per-post date column — the loop
+    /// never reads anything else of a post, so a caller holding only dates
+    /// and per-doc [`DocShot`]s (the memoized
+    /// [`crate::views::SpeedTrendView`], the cluster router merging
+    /// partition partials in global post order) can replay it
+    /// bit-identically. The loop structure — including which months
+    /// advance the subsample RNG — depends only on the shots, so a replay
+    /// over memoized shots matches the inline extraction path. `shot_at`
+    /// is invoked lazily, only for posts inside the analysed month range —
+    /// the same evaluation set as [`FulcrumAnalysis::analyze_with`].
     pub(crate) fn analyze_dated_shots(
         &self,
         dates: &[Date],

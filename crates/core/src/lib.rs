@@ -14,6 +14,7 @@ pub mod annotate;
 pub mod bias;
 pub mod breaker;
 pub mod cache;
+pub mod chunks;
 pub mod cluster;
 pub mod correlate;
 pub mod daemon;
@@ -41,6 +42,7 @@ pub use annotate::{AnnotatedPeak, PeakAnnotator};
 pub use bias::{extremity_bias, geo_corrected_polarity, ExtremityBias};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
 pub use cache::MemoCache;
+pub use chunks::{Chunks, PostRead};
 pub use cluster::{ClusterHealth, PartitionedService, CLUSTER_META};
 pub use correlate::{
     compounding_grid, compounding_grid_frame, confounder_report, engagement_curve,

@@ -11,6 +11,7 @@
 //! this module additionally *scores* the detector — precision/recall that
 //! the paper could not compute on real Reddit data.
 
+use crate::chunks::PostRead;
 use analytics::time::Date;
 use analytics::timeseries::{DailySeries, Peak};
 use analytics::AnalyticsError;
@@ -94,7 +95,7 @@ impl OutageDetector {
     /// the parity suite keeps.
     pub fn keyword_series_interned(
         &self,
-        forum: &Forum,
+        forum: &impl PostRead,
         corpus: &TokenCorpus,
         workers: usize,
     ) -> Result<DailySeries, AnalyticsError> {
@@ -117,7 +118,7 @@ impl OutageDetector {
             |range| self.doc_hits_range(&dict, corpus, range),
         );
         let hits_per_post = sentiment::corpus::flatten_chunks(parts);
-        for (post, hits) in forum.posts.iter().zip(hits_per_post) {
+        for (post, hits) in forum.iter().zip(hits_per_post) {
             if hits > 0 {
                 series.add(post.date, hits as f64);
             }
@@ -169,7 +170,7 @@ impl OutageDetector {
     /// [`OutageDetector::detect`] over a pre-tokenized corpus.
     pub fn detect_interned(
         &self,
-        forum: &Forum,
+        forum: &impl PostRead,
         corpus: &TokenCorpus,
         workers: usize,
     ) -> Result<Vec<DetectedOutage>, AnalyticsError> {

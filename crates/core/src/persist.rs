@@ -34,6 +34,7 @@
 //! checkable: a recovered service answers every query byte-for-byte like
 //! the service that never crashed (pinned by `tests/persist_recovery.rs`).
 
+use crate::chunks::Chunks;
 use crate::frame::SessionFrame;
 use crate::ingest::{QuarantineEntry, QuarantineReason};
 use crate::predict::FeatureSet;
@@ -753,7 +754,7 @@ pub(crate) struct SnapshotContents<'a> {
     /// snapshot; replay skips records with `seq <=` this.
     pub(crate) journal_seq: u64,
     pub(crate) sessions: &'a SessionChunks,
-    pub(crate) posts: &'a [Post],
+    pub(crate) posts: &'a Chunks<Post>,
     pub(crate) frame: &'a SessionFrame,
     pub(crate) corpus: Option<&'a TokenCorpus>,
     pub(crate) store: &'a SignalStore,
@@ -786,7 +787,7 @@ fn encode_snapshot(c: &SnapshotContents<'_>) -> Vec<u8> {
         put_session(&mut w, s);
     }
     w.put_u64(c.posts.len() as u64);
-    for p in c.posts {
+    for p in c.posts.iter() {
         put_post(&mut w, p);
     }
     c.frame.encode_bin(&mut w);
@@ -1014,7 +1015,7 @@ pub(crate) struct DiffContents<'a> {
     /// Post count of the base snapshot (start of the dirty suffix).
     pub(crate) base_posts: usize,
     pub(crate) sessions: &'a SessionChunks,
-    pub(crate) posts: &'a [Post],
+    pub(crate) posts: &'a Chunks<Post>,
     pub(crate) health: &'a PersistedHealth,
     pub(crate) view_keys: &'a [ViewKey],
 }
@@ -1045,9 +1046,8 @@ fn encode_diff(c: &DiffContents<'_>) -> Vec<u8> {
     for s in c.sessions.iter().skip(c.base_rows) {
         put_session(&mut w, s);
     }
-    let posts_tail = &c.posts[c.base_posts..];
-    w.put_u64(posts_tail.len() as u64);
-    for p in posts_tail {
+    w.put_u64((c.posts.len() - c.base_posts) as u64);
+    for p in c.posts.iter().skip(c.base_posts) {
         put_post(&mut w, p);
     }
     w.put_u64(c.view_keys.len() as u64);
@@ -2277,11 +2277,12 @@ mod tests {
             ViewKey::Outage,
         ];
         let session_chunks = SessionChunks::from_vec(sessions.clone());
+        let post_chunks = Chunks::from_vec(posts.clone());
         let contents = SnapshotContents {
             epoch: 4,
             journal_seq: 9,
             sessions: &session_chunks,
-            posts: &posts,
+            posts: &post_chunks,
             frame: &frame,
             corpus: None,
             store: &store,
@@ -2320,6 +2321,78 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// `posts` split into a chain at the given cut points, as appends
+    /// would build it.
+    fn chained(posts: &[Post], cuts: &[usize]) -> Chunks<Post> {
+        let mut chain = Chunks::from_vec(posts[..cuts[0]].to_vec());
+        for pair in cuts.windows(2) {
+            chain = chain.extended(posts[pair[0]..pair[1]].to_vec());
+        }
+        chain.extended(posts[*cuts.last().unwrap()..].to_vec())
+    }
+
+    #[test]
+    fn a_chunked_forum_encodes_like_the_flat_forum() {
+        let sessions = sample_sessions(12);
+        let posts = sample_posts();
+        let n = posts.len();
+        assert!(n > 20, "the sample forum spans several chunks");
+        let frame = SessionFrame::from_dataset(
+            &conference::records::CallDataset {
+                sessions: sessions.clone(),
+            },
+            1,
+        );
+        let store = SignalStore::new();
+        let health = PersistedHealth::default();
+        let session_chunks = SessionChunks::from_vec(sessions);
+        let flat = Chunks::from_vec(posts.clone());
+        let chain = chained(&posts, &[3, n / 3, n / 3 + 1, n / 2, n - 2]);
+        assert!(chain.chunks().len() > 4);
+
+        let full = |posts: &Chunks<Post>| {
+            encode_snapshot(&SnapshotContents {
+                epoch: 3,
+                journal_seq: 7,
+                sessions: &session_chunks,
+                posts,
+                frame: &frame,
+                corpus: None,
+                store: &store,
+                health: &health,
+                view_keys: &[ViewKey::Outage],
+            })
+        };
+        let bytes = full(&chain);
+        assert_eq!(bytes, full(&flat));
+        assert_eq!(
+            decode_snapshot(&bytes, SNAPSHOT_VERSION).unwrap().posts,
+            posts
+        );
+
+        // Diff bases at a chunk boundary and inside a chunk.
+        for base_posts in [n / 3, n / 2 - 1] {
+            let diff = |posts: &Chunks<Post>| {
+                encode_diff(&DiffContents {
+                    epoch: 4,
+                    journal_seq: 9,
+                    base_seq: 7,
+                    base_rows: 12,
+                    base_posts,
+                    sessions: &session_chunks,
+                    posts,
+                    health: &health,
+                    view_keys: &[],
+                })
+            };
+            let bytes = diff(&chain);
+            assert_eq!(bytes, diff(&flat), "base {base_posts}");
+            let state = decode_diff(&bytes).unwrap();
+            assert_eq!(state.base_posts, base_posts);
+            assert_eq!(state.posts_tail, posts[base_posts..]);
+        }
+    }
+
     #[test]
     fn snapshot_retention_keeps_the_last_two() {
         let dir = tmp_dir("snapshot-retention");
@@ -2340,7 +2413,7 @@ mod tests {
                     epoch: seq,
                     journal_seq: seq,
                     sessions: &session_chunks,
-                    posts: &[],
+                    posts: &Chunks::default(),
                     frame: &frame,
                     corpus: None,
                     store: &store,

@@ -15,6 +15,7 @@
 
 use crate::annotate::{AnnotatedPeak, PeakAnnotator};
 use crate::cache::MemoCache;
+use crate::chunks::{Chunks, PostRead};
 use crate::correlate;
 use crate::emerging::{EmergingTopic, EmergingTopicMiner};
 use crate::frame::SessionFrame;
@@ -283,55 +284,9 @@ fn view_key_of(query: &Query) -> Option<ViewKey> {
     }
 }
 
-/// Structurally-shared session storage: an immutable chain of `Arc`'d
-/// chunks — the build-time corpus plus one chunk per committed append.
-/// Epoch rollover clones only the chunk *list* (one `Arc` per past
-/// append), never the records themselves, so carrying a 100k-session
-/// corpus into the next generation costs O(appends) instead of an
-/// O(corpus) record copy. Iteration order is chunk order, which is
-/// exactly the append order the columnar frame mirrors.
-#[derive(Clone, Default)]
-pub struct SessionChunks {
-    chunks: Vec<Arc<Vec<SessionRecord>>>,
-    len: usize,
-}
-
-impl SessionChunks {
-    /// Wrap an initial session corpus as the first chunk.
-    pub fn from_vec(sessions: Vec<SessionRecord>) -> SessionChunks {
-        let len = sessions.len();
-        SessionChunks {
-            chunks: vec![Arc::new(sessions)],
-            len,
-        }
-    }
-
-    /// A new chain sharing every existing chunk, with `delta` appended as
-    /// one new chunk (skipped when empty).
-    fn extended(&self, delta: Vec<SessionRecord>) -> SessionChunks {
-        let mut next = self.clone();
-        if !delta.is_empty() {
-            next.len += delta.len();
-            next.chunks.push(Arc::new(delta));
-        }
-        next
-    }
-
-    /// Total sessions across all chunks.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no sessions are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Iterate every session in append order.
-    pub fn iter(&self) -> impl Iterator<Item = &SessionRecord> {
-        self.chunks.iter().flat_map(|chunk| chunk.iter())
-    }
-}
+/// Structurally-shared session storage: the build-time corpus plus one
+/// `Arc`'d chunk per committed append ([`Chunks`]).
+pub type SessionChunks = Chunks<SessionRecord>;
 
 /// One immutable epoch of the service's materialised state: the session
 /// corpus and forum as of the last committed append, the columnar frame
@@ -350,10 +305,12 @@ pub struct Generation {
     /// Structurally-shared session records: appends push one chunk instead
     /// of copying the corpus.
     sessions: SessionChunks,
-    /// The forum's posts in commit order. A commit whose batch holds no
-    /// post shares this with its base generation by reference; a commit
-    /// with posts clones it once and appends the batch.
-    forum: Arc<Forum>,
+    /// The forum's posts in commit order, structurally shared like the
+    /// sessions: the build-time (or recovered) forum is chunk 0, and a
+    /// commit with posts pushes its batch as one new chunk while sharing
+    /// every earlier chunk by reference. A post-free commit shares the
+    /// whole chain. Dropping a generation releases only its chunk list.
+    forum: Chunks<Post>,
     /// `forum.date_range()`, computed once per generation: the base
     /// generation's range folded with the batch's post dates at commit, so
     /// views and finishing passes never rescan the forum for it.
@@ -394,7 +351,7 @@ impl Generation {
     fn new(
         epoch: u64,
         sessions: SessionChunks,
-        forum: Arc<Forum>,
+        forum: Chunks<Post>,
         date_range: Option<(Date, Date)>,
         workers: usize,
         social_corpus: OnceLock<Arc<TokenCorpus>>,
@@ -428,7 +385,7 @@ impl Generation {
     pub fn frame(&self) -> &SessionFrame {
         self.frame.get_or_init(|| {
             let mut frame = SessionFrame::with_capacity(self.sessions.len());
-            for chunk in &self.sessions.chunks {
+            for chunk in self.sessions.chunks() {
                 frame.extend_from_sessions(chunk, self.workers);
             }
             frame
@@ -441,18 +398,30 @@ impl Generation {
         &self.sessions
     }
 
-    /// The forum corpus of this generation (read access for custom
-    /// analyses and parity checks).
-    pub fn forum(&self) -> &Forum {
+    /// The forum's posts of this generation in commit order (read access
+    /// for custom analyses and parity checks; [`Chunks::to_vec`] gives a
+    /// flat copy).
+    pub fn forum(&self) -> &Chunks<Post> {
         &self.forum
     }
 
     /// The forum's interned token corpus, built once per generation on
-    /// first use. Identical for every worker count, so lazily building it
+    /// first use — the same corpus [`Forum::token_corpus`] builds over the
+    /// flat posts. Identical for every worker count, so lazily building it
     /// never perturbs query results.
     pub fn social_corpus(&self) -> &TokenCorpus {
-        self.social_corpus
-            .get_or_init(|| Arc::new(self.forum.token_corpus(self.workers)))
+        self.social_corpus.get_or_init(|| {
+            let posts: Vec<&Post> = self.forum.iter().collect();
+            Arc::new(TokenCorpus::build_with(
+                posts.len(),
+                self.workers,
+                |i, emit| {
+                    for part in posts[i].text_parts() {
+                        emit(part);
+                    }
+                },
+            ))
+        })
     }
 
     /// Earliest and latest post dates of this generation's forum, `None`
@@ -980,7 +949,7 @@ impl UsaasService {
         let generation = Generation::new(
             0,
             SessionChunks::from_vec(dataset.sessions),
-            Arc::new(forum),
+            Chunks::from_vec(forum.posts),
             date_range,
             workers,
             OnceLock::new(),
@@ -1054,7 +1023,7 @@ impl UsaasService {
         let live_records = records.len() as u64;
         let oldest_live_seq = records.first().map(|r| r.seq).unwrap_or(0);
 
-        let forum = Forum { posts: state.posts };
+        let forum = Chunks::from_vec(state.posts);
         let date_range = forum.date_range();
         let corpus_cell = OnceLock::new();
         if let Some(corpus) = state.corpus {
@@ -1063,7 +1032,7 @@ impl UsaasService {
         let generation = Generation::new(
             state.epoch,
             SessionChunks::from_vec(state.sessions),
-            Arc::new(forum),
+            forum,
             date_range,
             workers,
             corpus_cell,
@@ -1222,7 +1191,7 @@ impl UsaasService {
                         base_rows: base.rows,
                         base_posts: base.posts,
                         sessions: &generation.sessions,
-                        posts: &generation.forum.posts,
+                        posts: &generation.forum,
                         health: &health,
                         view_keys: &view_keys,
                     },
@@ -1262,7 +1231,7 @@ impl UsaasService {
                 epoch: generation.epoch,
                 journal_seq: state.last_seq,
                 sessions: &generation.sessions,
-                posts: &generation.forum.posts,
+                posts: &generation.forum,
                 frame: generation.frame(),
                 corpus: generation.social_corpus.get().map(Arc::as_ref),
                 store,
@@ -1578,18 +1547,15 @@ impl UsaasService {
         let base = self.snapshot();
         let posts_before = base.forum.len();
         let corpus_cell = OnceLock::new();
-        let forum = if posts.is_empty() {
-            // Nothing text-side changed: the successor shares the forum
-            // and (if built) the corpus by reference.
-            if let Some(existing) = base.social_corpus.get() {
+        if let Some(existing) = base.social_corpus.get() {
+            if posts.is_empty() {
+                // Nothing text-side changed: the successor shares the
+                // corpus by reference.
                 let _ = corpus_cell.set(Arc::clone(existing));
-            }
-            Arc::clone(&base.forum)
-        } else {
-            // Re-materialise the corpus only if this generation ever built
-            // one; extension preserves existing ids, so it is bit-identical
-            // to rebuilding over the grown forum.
-            if let Some(existing) = base.social_corpus.get() {
+            } else {
+                // Re-materialise the corpus only if this generation ever
+                // built one; extension preserves existing ids, so it is
+                // bit-identical to rebuilding over the grown forum.
                 let mut corpus = TokenCorpus::clone(existing);
                 corpus.extend_with(posts.len(), self.workers, |i, emit| {
                     for part in posts[i].text_parts() {
@@ -1598,18 +1564,14 @@ impl UsaasService {
                 });
                 let _ = corpus_cell.set(Arc::new(corpus));
             }
-            let mut all = Vec::with_capacity(posts_before + posts.len());
-            all.extend_from_slice(&base.forum.posts);
-            all.extend(posts);
-            Arc::new(Forum { posts: all })
-        };
+        }
         let date_range = merged_range(
-            std::iter::once(base.date_range).chain(
-                forum.posts[posts_before..]
-                    .iter()
-                    .map(|p| Some((p.date, p.date))),
-            ),
+            std::iter::once(base.date_range).chain(posts.iter().map(|p| Some((p.date, p.date)))),
         );
+        // Structural sharing: the posts are never copied — the successor
+        // holds the same Arc'd chunks plus one chunk for this batch (none
+        // for a post-free batch).
+        let forum = base.forum.extended(posts);
         // Carry the base generation's materialized views forward, advanced
         // by exactly this batch — an O(delta) fold per view instead of the
         // full-corpus recompute a fresh generation would otherwise pay on
@@ -1622,7 +1584,7 @@ impl UsaasService {
             sessions: &sessions,
             rows_before: base.sessions.len(),
             forum: &forum,
-            posts_before,
+            posts: forum.tail(posts_before),
             date_range,
             corpus: corpus_cell.get().map(Arc::as_ref),
         });
@@ -2085,8 +2047,9 @@ mod tests {
     /// last day so every text view advances instead of dropping.
     fn later_posts(g: &Generation, n: usize) -> Vec<Post> {
         let (_, last) = g.date_range().expect("non-empty forum");
-        g.forum().posts[g.forum().len() - n..]
+        g.forum()
             .iter()
+            .skip(g.forum().len() - n)
             .map(|p| Post {
                 date: last.offset(1),
                 ..p.clone()
@@ -2102,8 +2065,38 @@ mod tests {
         }
     }
 
+    /// True when `next` holds every chunk of `base`, in order, as the same
+    /// `Arc`s.
+    fn shares_chunks<T>(base: &Chunks<T>, next: &Chunks<T>) -> bool {
+        base.chunks().len() <= next.chunks().len()
+            && base
+                .chunks()
+                .iter()
+                .zip(next.chunks())
+                .all(|(a, b)| Arc::ptr_eq(a, b))
+    }
+
+    /// The carried per-post memos of a generation: the sentiment view's
+    /// score chain and the speed-trend view's shot chain.
+    fn memo_chains(
+        g: &Generation,
+    ) -> (
+        Chunks<sentiment::SentimentScores>,
+        Chunks<Option<crate::fulcrum::DocShot>>,
+    ) {
+        let scores = match g.views.get(&ViewKey::Sentiment).as_deref() {
+            Some(View::Sentiment(v)) => v.scores().clone(),
+            _ => panic!("the sentiment view is installed"),
+        };
+        let shots = match g.views.get(&ViewKey::SpeedTrend).as_deref() {
+            Some(View::SpeedTrend(v)) => v.shots().clone(),
+            _ => panic!("the speed-trend view is installed"),
+        };
+        (scores, shots)
+    }
+
     #[test]
-    fn post_free_commits_share_the_text_side_and_post_commits_copy_it() {
+    fn post_free_commits_share_the_text_side_and_post_commits_append_one_chunk() {
         let s = UsaasService::build(
             generate(&DatasetConfig::small(300, 5)),
             gen_forum(&ForumConfig {
@@ -2145,7 +2138,8 @@ mod tests {
         s.append_batch(sessions(6), Vec::new());
         let next = s.snapshot();
         assert_eq!(next.epoch(), base.epoch() + 1);
-        assert!(Arc::ptr_eq(&base.forum, &next.forum));
+        assert!(shares_chunks(&base.forum, &next.forum));
+        assert_eq!(next.forum.chunks().len(), base.forum.chunks().len());
         assert!(Arc::ptr_eq(
             base.social_corpus.get().unwrap(),
             next.social_corpus.get().unwrap()
@@ -2157,17 +2151,30 @@ mod tests {
         assert!(!shares_view(&base, &next, curve_key));
         assert_eq!(next.date_range(), base.date_range());
 
-        // Posts only, then sessions with posts: none of the text side is
-        // shared, every text view advances, and the folded date range
-        // equals a scan of the extended forum.
+        // Posts only, then sessions with posts: every earlier post chunk
+        // is shared and the batch is the one new last chunk; the corpus is
+        // not shared, every text view advances (its per-post memo likewise
+        // shares every earlier chunk and appends one), and the folded date
+        // range equals a scan of the extended forum.
         for (mixed, seed) in [(false, 7), (true, 8)] {
             let base = s.snapshot();
             let batch = if mixed { sessions(seed) } else { Vec::new() };
-            s.append_batch(batch, later_posts(&base, 3));
+            let posts = later_posts(&base, 3);
+            s.append_batch(batch, posts.clone());
             let next = s.snapshot();
             assert_eq!(next.epoch(), base.epoch() + 1);
-            assert!(!Arc::ptr_eq(&base.forum, &next.forum));
+            assert!(shares_chunks(&base.forum, &next.forum));
+            assert_eq!(next.forum.chunks().len(), base.forum.chunks().len() + 1);
+            assert_eq!(next.forum.chunks().last().unwrap().as_slice(), posts);
             assert_eq!(next.forum().len(), base.forum().len() + 3);
+            let (base_scores, base_shots) = memo_chains(&base);
+            let (next_scores, next_shots) = memo_chains(&next);
+            assert!(shares_chunks(&base_scores, &next_scores));
+            assert_eq!(next_scores.chunks().len(), base_scores.chunks().len() + 1);
+            assert_eq!(next_scores.len(), next.forum().len());
+            assert!(shares_chunks(&base_shots, &next_shots));
+            assert_eq!(next_shots.chunks().len(), base_shots.chunks().len() + 1);
+            assert_eq!(next_shots.len(), next.forum().len());
             assert!(!Arc::ptr_eq(
                 base.social_corpus.get().unwrap(),
                 next.social_corpus.get().unwrap()

@@ -39,6 +39,7 @@
 //!   arithmetic, so the sums match a cold build.
 
 use crate::annotate::{AnnotatedPeak, PeakAnnotator, SentimentSeries};
+use crate::chunks::{Chunks, PostRead};
 use crate::correlate;
 use crate::emerging::{EmergingTopic, EmergingTopicMiner, MineState};
 use crate::frame::SessionFrame;
@@ -55,7 +56,7 @@ use conference::records::{EngagementMetric, NetworkMetric, SessionRecord};
 use parking_lot::RwLock;
 use sentiment::analyzer::SentimentScores;
 use sentiment::corpus::{CompiledDict, TokenCorpus};
-use social::post::Forum;
+use social::post::Post;
 use starlink::constellation::RegionalDemand;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -114,17 +115,18 @@ pub enum ViewKey {
 /// generation skip materialising its column frame at commit time entirely
 /// (frame columns mirror the records value-for-value, so record-fed
 /// accumulators are bit-identical to column-fed ones). `forum` is the
-/// already-extended post collection with `posts_before` marking where its
-/// delta starts; `rows_before` is the base generation's session count.
-/// `date_range` is the extended forum's [`Forum::date_range`], folded once
-/// per commit. `corpus` is the successor's interned corpus when the base
-/// generation had built one (`None` otherwise — corpus-backed views are
-/// dropped and lazily rebuilt).
+/// successor's post chain and `posts` the batch's posts (its last chunk,
+/// empty for a post-free batch); `rows_before` is the base generation's
+/// session count. `date_range` is the extended forum's
+/// [`PostRead::date_range`], folded once per commit. `corpus` is the
+/// successor's interned corpus when the base generation had built one
+/// (`None` otherwise — corpus-backed views are dropped and lazily
+/// rebuilt).
 pub(crate) struct ViewDelta<'a> {
     pub sessions: &'a [SessionRecord],
     pub rows_before: usize,
-    pub forum: &'a Forum,
-    pub posts_before: usize,
+    pub forum: &'a Chunks<Post>,
+    pub posts: &'a [Post],
     pub date_range: Option<(Date, Date)>,
     pub corpus: Option<&'a TokenCorpus>,
 }
@@ -132,7 +134,19 @@ pub(crate) struct ViewDelta<'a> {
 impl ViewDelta<'_> {
     /// True when the batch holds no post.
     fn post_free(&self) -> bool {
-        self.forum.len() == self.posts_before
+        self.posts.is_empty()
+    }
+
+    /// The base generation's post count: where the batch's documents start.
+    fn posts_before(&self) -> usize {
+        self.forum.len() - self.posts.len()
+    }
+
+    /// The successor's corpus, when it was built and a text view that has
+    /// seen `docs_seen` posts is current with the base generation.
+    fn corpus_after(&self, docs_seen: usize) -> Option<&TokenCorpus> {
+        let corpus = self.corpus?;
+        (docs_seen == self.posts_before() && corpus.docs() == self.forum.len()).then_some(corpus)
     }
 }
 
@@ -412,58 +426,57 @@ impl PredictView {
 /// series. The carried `series` is a `Result` because an empty forum has no
 /// date range ([`AnalyticsError::Empty`]) — exactly what a cold build
 /// returns, so error answers stay bit-identical too.
+/// The per-post scores are chunked like the posts, so an advance appends
+/// the batch's scores as one chunk instead of cloning every earlier score.
 #[derive(Clone)]
 pub struct SentimentView {
     docs_seen: usize,
-    scores: Vec<SentimentScores>,
+    scores: Chunks<SentimentScores>,
     series: Result<SentimentSeries, AnalyticsError>,
 }
 
 impl SentimentView {
     /// Cold rebuild over the full forum/corpus.
-    pub(crate) fn rebuild(forum: &Forum, corpus: &TokenCorpus, workers: usize) -> SentimentView {
+    pub(crate) fn rebuild(
+        forum: &impl PostRead,
+        corpus: &TokenCorpus,
+        workers: usize,
+    ) -> SentimentView {
         let annotator = PeakAnnotator::default();
         let scores = annotator.score_posts(forum, corpus, workers);
         let series = annotator.series_from_scores(forum, &scores);
         SentimentView {
             docs_seen: forum.len(),
-            scores,
+            scores: Chunks::from_vec(scores),
             series,
         }
     }
 
     fn advanced(&self, delta: &ViewDelta<'_>) -> Option<SentimentView> {
-        let corpus = delta.corpus?;
-        if self.docs_seen != delta.posts_before || corpus.docs() != delta.forum.len() {
-            return None;
-        }
+        let corpus = delta.corpus_after(self.docs_seen)?;
         let annotator = PeakAnnotator::default();
         let vocab = corpus.vocab();
-        let mut scores = self.scores.clone();
-        for doc in delta.posts_before..corpus.docs() {
-            scores.push(annotator.analyzer.score_ids(corpus.doc(doc), vocab));
-        }
+        let fresh: Vec<SentimentScores> = (delta.posts_before()..corpus.docs())
+            .map(|doc| annotator.analyzer.score_ids(corpus.doc(doc), vocab))
+            .collect();
         let series = match (&self.series, delta.date_range) {
             (_, None) => Err(AnalyticsError::Empty),
-            // Previously empty forum: everything is delta, build whole.
-            (Err(_), Some(_)) => annotator.series_from_scores(delta.forum, &scores),
-            (Ok(prior), Some((start, end))) => embed_sentiment(
-                prior,
-                start,
-                end,
-                &delta.forum.posts[delta.posts_before..],
-                &scores[delta.posts_before..],
-            ),
+            // Previously empty forum: the batch is the whole forum, so its
+            // scores are every score.
+            (Err(_), Some(_)) => annotator.series_from_scores(delta.forum, &fresh),
+            (Ok(prior), Some((start, end))) => {
+                embed_sentiment(prior, start, end, delta.posts, &fresh)
+            }
         };
         Some(SentimentView {
             docs_seen: delta.forum.len(),
-            scores,
+            scores: self.scores.extended(fresh),
             series,
         })
     }
 
-    /// Per-post scores, indexed by document.
-    pub(crate) fn scores(&self) -> &[SentimentScores] {
+    /// Per-post scores in document order.
+    pub(crate) fn scores(&self) -> &Chunks<SentimentScores> {
         &self.scores
     }
 
@@ -475,7 +488,7 @@ impl SentimentView {
     /// Finishing pass: the Fig. 5 annotation tail over carried scores.
     pub(crate) fn finish(
         &self,
-        forum: &Forum,
+        forum: &impl PostRead,
         corpus: &TokenCorpus,
         k: usize,
     ) -> Result<Vec<AnnotatedPeak>, AnalyticsError> {
@@ -491,7 +504,7 @@ fn embed_sentiment(
     prior: &SentimentSeries,
     start: analytics::time::Date,
     end: analytics::time::Date,
-    new_posts: &[social::post::Post],
+    new_posts: &[Post],
     new_scores: &[SentimentScores],
 ) -> Result<SentimentSeries, AnalyticsError> {
     let mut pos = prior.strong_positive.embedded(start, end)?;
@@ -518,7 +531,11 @@ pub struct OutageView {
 
 impl OutageView {
     /// Cold rebuild over the full forum/corpus.
-    pub(crate) fn rebuild(forum: &Forum, corpus: &TokenCorpus, workers: usize) -> OutageView {
+    pub(crate) fn rebuild(
+        forum: &impl PostRead,
+        corpus: &TokenCorpus,
+        workers: usize,
+    ) -> OutageView {
         OutageView {
             docs_seen: forum.len(),
             series: OutageDetector::default().keyword_series_interned(forum, corpus, workers),
@@ -526,10 +543,7 @@ impl OutageView {
     }
 
     fn advanced(&self, delta: &ViewDelta<'_>) -> Option<OutageView> {
-        let corpus = delta.corpus?;
-        if self.docs_seen != delta.posts_before || corpus.docs() != delta.forum.len() {
-            return None;
-        }
+        let corpus = delta.corpus_after(self.docs_seen)?;
         let detector = OutageDetector::default();
         let series = match (&self.series, delta.date_range) {
             (_, None) => Err(AnalyticsError::Empty),
@@ -543,8 +557,8 @@ impl OutageView {
                 embedded.map(|mut series| {
                     let dict = CompiledDict::compile(&detector.dictionary, corpus.vocab());
                     let hits =
-                        detector.doc_hits_range(&dict, corpus, delta.posts_before..corpus.docs());
-                    for (post, h) in delta.forum.posts[delta.posts_before..].iter().zip(hits) {
+                        detector.doc_hits_range(&dict, corpus, delta.posts_before()..corpus.docs());
+                    for (post, h) in delta.posts.iter().zip(hits) {
                         if h > 0 {
                             series.add(post.date, h as f64);
                         }
@@ -584,11 +598,14 @@ impl DeploymentView {
     /// Cold rebuild over the full forum/corpus: one scoring pass, then the
     /// branchless [`kernels::masked_slot_counts`] band tally — integer
     /// counts, so identical to the per-post walk it replaced.
-    pub(crate) fn rebuild(forum: &Forum, corpus: &TokenCorpus, workers: usize) -> DeploymentView {
+    pub(crate) fn rebuild(
+        forum: &impl PostRead,
+        corpus: &TokenCorpus,
+        workers: usize,
+    ) -> DeploymentView {
         let analyzer = sentiment::analyzer::SentimentAnalyzer::default();
         let scores = analyzer.score_corpus(corpus, workers);
         let slots: Vec<u32> = forum
-            .posts
             .iter()
             .map(|p| crate::service::country_lat_band(p.country) as u32)
             .collect();
@@ -607,16 +624,11 @@ impl DeploymentView {
     }
 
     fn advanced(&self, delta: &ViewDelta<'_>) -> Option<DeploymentView> {
-        let corpus = delta.corpus?;
-        if self.docs_seen != delta.posts_before || corpus.docs() != delta.forum.len() {
-            return None;
-        }
+        let corpus = delta.corpus_after(self.docs_seen)?;
         let analyzer = sentiment::analyzer::SentimentAnalyzer::default();
         let vocab = corpus.vocab();
         let mut next = self.clone();
-        for (doc, post) in
-            (delta.posts_before..corpus.docs()).zip(&delta.forum.posts[delta.posts_before..])
-        {
+        for (doc, post) in (delta.posts_before()..corpus.docs()).zip(delta.posts) {
             if analyzer
                 .score_ids(corpus.doc(doc), vocab)
                 .is_strong_negative()
@@ -661,68 +673,74 @@ pub(crate) fn regional_demand(counts: [f64; 9]) -> Option<RegionalDemand> {
 /// ([`fulcrum::DocShot`]), indexed by document. The month loop itself
 /// (medians, subsample RNG, annotations) is cheap and order-sensitive, so
 /// the finishing pass re-runs it over the memo
-/// ([`FulcrumAnalysis::analyze_shots`]): the loop structure — including
+/// ([`FulcrumAnalysis::analyze_dated_shots`]): the loop structure — including
 /// which months advance the subsample RNG — depends only on the shots, so
-/// the replay is bit-identical to the cold inline-extraction path.
+/// the replay is bit-identical to the cold inline-extraction path. The
+/// memo is chunked like the posts, so an advance appends the batch's shots
+/// as one chunk instead of cloning every earlier shot.
 #[derive(Clone)]
 pub struct SpeedTrendView {
     docs_seen: usize,
-    shots: Vec<Option<fulcrum::DocShot>>,
+    shots: Chunks<Option<fulcrum::DocShot>>,
 }
 
 impl SpeedTrendView {
     /// Cold rebuild: evaluate every post once. The forum's month range
     /// spans every post date, so the cold path evaluates exactly this set.
-    pub(crate) fn rebuild(forum: &Forum, corpus: &TokenCorpus) -> SpeedTrendView {
-        let analysis = FulcrumAnalysis::default();
-        let vocab = corpus.vocab();
-        let shots = forum
-            .posts
-            .iter()
-            .enumerate()
-            .map(|(i, post)| {
-                fulcrum::DocShot::eval(post, || analysis.analyzer.score_ids(corpus.doc(i), vocab))
-            })
-            .collect();
+    pub(crate) fn rebuild(forum: &impl PostRead, corpus: &TokenCorpus) -> SpeedTrendView {
         SpeedTrendView {
             docs_seen: forum.len(),
-            shots,
+            shots: Chunks::from_vec(doc_shots(forum.iter(), 0, corpus)),
         }
     }
 
     fn advanced(&self, delta: &ViewDelta<'_>) -> Option<SpeedTrendView> {
-        let corpus = delta.corpus?;
-        if self.docs_seen != delta.posts_before || corpus.docs() != delta.forum.len() {
-            return None;
-        }
-        let analysis = FulcrumAnalysis::default();
-        let vocab = corpus.vocab();
-        let mut next = self.clone();
-        for (doc, post) in
-            (delta.posts_before..corpus.docs()).zip(&delta.forum.posts[delta.posts_before..])
-        {
-            next.shots.push(fulcrum::DocShot::eval(post, || {
-                analysis.analyzer.score_ids(corpus.doc(doc), vocab)
-            }));
-        }
-        next.docs_seen = delta.forum.len();
-        Some(next)
+        let corpus = delta.corpus_after(self.docs_seen)?;
+        let fresh = doc_shots(delta.posts.iter(), delta.posts_before(), corpus);
+        Some(SpeedTrendView {
+            docs_seen: delta.forum.len(),
+            shots: self.shots.extended(fresh),
+        })
     }
 
-    /// The memoized per-post shots, indexed by document.
-    pub(crate) fn shots(&self) -> &[Option<fulcrum::DocShot>] {
+    /// The memoized per-post shots in document order.
+    pub(crate) fn shots(&self) -> &Chunks<Option<fulcrum::DocShot>> {
         &self.shots
     }
 
-    /// Finishing pass: the month loop over memoized shots.
+    /// Finishing pass: the month loop over memoized shots, driven by the
+    /// forum's date column.
     pub(crate) fn finish(
         &self,
-        forum: &Forum,
+        forum: &impl PostRead,
         start: analytics::time::Month,
         end: analytics::time::Month,
     ) -> Result<Vec<MonthlyPoint>, AnalyticsError> {
-        FulcrumAnalysis::default().analyze_shots(forum, start, end, |i, _| self.shots[i])
+        let dates: Vec<Date> = forum.iter().map(|p| p.date).collect();
+        let shots = self.shots.to_vec();
+        FulcrumAnalysis::default().analyze_dated_shots(&dates, start, end, |i| shots[i])
     }
+}
+
+/// Evaluate the [`fulcrum::DocShot`] of each post, the first being
+/// document `first_doc` of `corpus`.
+fn doc_shots<'a>(
+    posts: impl Iterator<Item = &'a Post>,
+    first_doc: usize,
+    corpus: &TokenCorpus,
+) -> Vec<Option<fulcrum::DocShot>> {
+    let analysis = FulcrumAnalysis::default();
+    let vocab = corpus.vocab();
+    posts
+        .enumerate()
+        .map(|(i, post)| {
+            fulcrum::DocShot::eval(post, || {
+                analysis
+                    .analyzer
+                    .score_ids(corpus.doc(first_doc + i), vocab)
+            })
+        })
+        .collect()
 }
 
 /// §4.1 view: a *settled* emerging-topic miner plus the finished
@@ -758,7 +776,7 @@ impl SettledMine {
     /// Run `settled` through every window ending before `last`, the
     /// forum's last day, then a clone of it through the tail to `last`.
     fn mined(
-        forum: &Forum,
+        forum: &impl PostRead,
         corpus: &TokenCorpus,
         mut settled: MineState,
         last: Date,
@@ -779,7 +797,7 @@ impl SettledMine {
 impl EmergingTopicsView {
     /// Cold rebuild: settle the miner one day short of the forum's end and
     /// finish the tail.
-    pub(crate) fn rebuild(forum: &Forum, corpus: &TokenCorpus) -> EmergingTopicsView {
+    pub(crate) fn rebuild(forum: &impl PostRead, corpus: &TokenCorpus) -> EmergingTopicsView {
         let state = EmergingTopicMiner::default()
             .mine_start(forum, corpus)
             .map(|s| {
@@ -794,11 +812,7 @@ impl EmergingTopicsView {
     }
 
     fn advanced(&self, delta: &ViewDelta<'_>) -> Option<EmergingTopicsView> {
-        let corpus = delta.corpus?;
-        if self.docs_seen != delta.posts_before || corpus.docs() != delta.forum.len() {
-            return None;
-        }
-        let new_posts = &delta.forum.posts[delta.posts_before..];
+        let corpus = delta.corpus_after(self.docs_seen)?;
         let state = match &self.state {
             // Previously empty forum: everything is delta, mine whole.
             Err(_) => return Some(EmergingTopicsView::rebuild(delta.forum, corpus)),
@@ -813,7 +827,7 @@ impl EmergingTopicsView {
                         .start
                         .offset(EmergingTopicMiner::default().window_days - 1),
                 );
-                if new_posts.iter().any(|p| p.date <= read_through) {
+                if delta.posts.iter().any(|p| p.date <= read_through) {
                     return None;
                 }
                 let (start, last) = delta.date_range?;
@@ -893,9 +907,7 @@ impl View {
             | View::SpeedTrend(SpeedTrendView { docs_seen, .. })
             | View::EmergingTopics(EmergingTopicsView { docs_seen, .. }) => *docs_seen,
         };
-        delta.post_free()
-            && docs_seen == delta.posts_before
-            && delta.corpus.is_some_and(|c| c.docs() == delta.forum.len())
+        delta.post_free() && delta.corpus_after(docs_seen).is_some()
     }
 
     /// The view advanced by one committed batch — the same `Arc` when the

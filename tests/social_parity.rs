@@ -448,12 +448,15 @@ mod service_level {
     }
 
     /// Every §4 service query answers identically to the string-based
-    /// reference computed directly over the service's own forum.
+    /// reference computed directly over the service's own forum (its post
+    /// chain copied flat, in order, for the `&Forum` oracle).
     #[test]
     fn service_social_answers_match_string_paths() {
         let svc = small_service();
         let snap = svc.snapshot();
-        let forum = snap.forum();
+        let forum = &Forum {
+            posts: snap.forum().to_vec(),
+        };
 
         let Answer::Outages(outages) = svc.query(&Query::OutageTimeline).unwrap() else {
             panic!("wrong answer type");
@@ -500,7 +503,9 @@ mod service_level {
         // corpus content.
         let single = UsaasService::build(
             generate(&DatasetConfig::small(50, 21)),
-            snap.forum().clone(),
+            Forum {
+                posts: snap.forum().to_vec(),
+            },
             1,
         );
         let single_snap = single.snapshot();

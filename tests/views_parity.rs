@@ -28,7 +28,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 use usaas::{
-    journal_record_offsets, FeatureSet, IngestConfig, ItemSource, Query, RawItem, Source,
+    journal_record_offsets, FeatureSet, IngestConfig, ItemSource, PostRead, Query, RawItem, Source,
     UsaasService, ViewKey, JOURNAL_FILE,
 };
 
