@@ -5,11 +5,10 @@
 //!   `dataset.sessions` as full `SessionRecord`s (the record walk the
 //!   incremental views advance with);
 //! * `columnar` — the same aggregates through the branchless kernels over
-//!   [`usaas::SessionFrame`] columns, the service's cold path;
-//! * `columnar_parallel` — the same columnar mix again. The kernel scans
-//!   are sequential by design (row-order running sums are what makes them
-//!   bit-identical at every worker count), so this row tracks `columnar`;
-//!   it stays so the committed baseline keeps its history.
+//!   [`usaas::SessionFrame`] columns, the service's cold path. The kernel
+//!   scans are sequential by design (row-order running sums are what
+//!   makes them bit-identical at every worker count), so there is no
+//!   parallel scan arm.
 //!
 //! Both layouts produce bit-identical answers (see `tests/frame_parity.rs`);
 //! this bench measures only the layout. `frame_build` prices the one-off
@@ -108,7 +107,6 @@ fn bench_frame_scan(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("aos", |b| b.iter(|| figure_mix_aos(&dataset)));
     group.bench_function("columnar", |b| b.iter(|| figure_mix_frame(&frame)));
-    group.bench_function("columnar_parallel", |b| b.iter(|| figure_mix_frame(&frame)));
     group.finish();
 
     let mut build = c.benchmark_group("frame_build");

@@ -80,7 +80,7 @@ fn main() {
         for (m, c) in &curves {
             let _ = writeln!(
                 summary,
-                "{:>10}: best {:.1} → worst-end {:.1} (Δ {:.1} points)",
+                "{:>10}: first bin {:.1} → last bin {:.1} (Δ {:.1} points)",
                 m.label(),
                 c.first_y().unwrap_or(f64::NAN),
                 c.last_y().unwrap_or(f64::NAN),

@@ -41,7 +41,6 @@ use crate::service::{
     ServiceHealth, UsaasError, UsaasService, DEAD_LETTER_CAP, RECOVERY_WARNING_CAP,
 };
 use crate::source::{ItemSource, RawItem, Source};
-use crate::store::SignalStore;
 use crate::views::{regional_demand, SentimentView, View, ViewKey};
 use analytics::binning::{BinSpec, SumBinner};
 use analytics::time::Date;
@@ -1325,11 +1324,9 @@ impl PartitionedService {
         cfg: &IngestConfig,
     ) -> IngestReport {
         let _appending = self.append_lock.lock();
-        // Router-side validation store: quarantine/breaker bookkeeping
-        // happens here; the accepted items' signals are (re-)derived by the
-        // partitions' own stores on append.
-        let scratch = SignalStore::new();
-        let (mut report, accepted) = ingest::ingest_stream_collect(&scratch, sources, cfg);
+        // Router-side validation: quarantine and breaker bookkeeping
+        // happen here; the partitions commit the accepted items.
+        let (mut report, accepted) = ingest::ingest_stream_collect(sources, cfg);
         let mut sessions: Vec<SessionRecord> = Vec::new();
         let mut posts: Vec<Post> = Vec::new();
         for item in accepted {

@@ -2,7 +2,9 @@
 //!
 //! [`Source`]s (conferencing telemetry, forum crawls) produce raw items; a
 //! pool of normalisation workers scores sentiment and converts to
-//! [`Signal`]s; batches land in the shared [`SignalStore`]. Built on
+//! [`Signal`]s; [`ingest_stream`] lands the batches in a [`SignalStore`],
+//! while the service's append path counts and drops them and keeps only
+//! the accepted items, which its generation commits. Built on
 //! `crossbeam` bounded channels + scoped threads — the workload is
 //! CPU-bound batch processing, so plain threads (not an async runtime) are
 //! the right tool.
@@ -52,6 +54,7 @@ use parking_lot::Mutex;
 use sentiment::analyzer::SentimentAnalyzer;
 use social::post::Forum;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// What to do when normalising one item panics.
@@ -235,7 +238,8 @@ impl SourceHealth {
 /// Structured result of an ingestion run.
 #[derive(Debug, Clone, Default)]
 pub struct IngestReport {
-    /// Signals stored (one session may yield several signals).
+    /// Signals normalised from accepted items (one session may yield
+    /// several signals); a store-backed run inserts every one of them.
     pub stored: usize,
     /// Items handed to the worker pool.
     pub fed: usize,
@@ -338,20 +342,20 @@ pub fn ingest_stream<'a>(
     sources: Vec<Box<dyn Source + 'a>>,
     cfg: &IngestConfig,
 ) -> IngestReport {
-    ingest_stream_with(store, sources, cfg, normalise, None)
+    ingest_stream_with(Some(store), sources, cfg, normalise, None)
 }
 
-/// [`ingest_stream`] that additionally collects every accepted item (fed
-/// and successfully normalised), returned in deterministic feed order —
-/// the append-while-serving path uses this to know exactly which items
-/// made it in.
+/// The streaming pipeline without a store: every item is still
+/// normalised (that is where a poison pill is caught), its signals are
+/// counted into `stored` and dropped, and every accepted item (fed and
+/// successfully normalised) is returned in deterministic feed order — the
+/// append-while-serving path commits exactly these items.
 pub(crate) fn ingest_stream_collect<'a>(
-    store: &SignalStore,
     sources: Vec<Box<dyn Source + 'a>>,
     cfg: &IngestConfig,
 ) -> (IngestReport, Vec<RawItem>) {
     let sink = Mutex::new(Vec::new());
-    let report = ingest_stream_with(store, sources, cfg, normalise, Some(&sink));
+    let report = ingest_stream_with(None, sources, cfg, normalise, Some(&sink));
     let mut accepted = sink.into_inner();
     // Workers interleave arbitrarily; the producer's global sequence
     // restores feed order.
@@ -515,10 +519,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// The engine: spawn the worker pool, run the producer, assemble the
-/// report. Generic over the normalisation function so tests can inject a
-/// faulty worker.
+/// report. Workers batch their signals into `store` when there is one and
+/// only count them otherwise. Generic over the normalisation function so
+/// tests can inject a faulty worker.
 fn ingest_stream_with<'a, N>(
-    store: &SignalStore,
+    store: Option<&SignalStore>,
     mut sources: Vec<Box<dyn Source + 'a>>,
     cfg: &IngestConfig,
     normalise_fn: N,
@@ -529,7 +534,7 @@ where
 {
     let workers = cfg.workers.max(1);
     let (tx, rx) = channel::bounded::<Envelope>(4096);
-    let before = store.len();
+    let stored = AtomicUsize::new(0);
     let quarantine: Mutex<Vec<QuarantineEntry>> = Mutex::new(Vec::new());
     let names: Vec<String> = sources.iter().map(|s| s.name().to_string()).collect();
     let mut outcome: Option<FeedOutcome> = None;
@@ -541,6 +546,7 @@ where
             let quarantine = &quarantine;
             let names = &names;
             let panics = cfg.panics;
+            let stored = &stored;
             scope.spawn(move |_| {
                 let analyzer = SentimentAnalyzer::default();
                 let mut batch: Vec<Signal> = Vec::with_capacity(256);
@@ -556,9 +562,12 @@ where
                     };
                     match result {
                         Ok(signals) => {
-                            batch.extend(signals);
-                            if batch.len() >= 256 {
-                                store.insert_batch(std::mem::take(&mut batch));
+                            stored.fetch_add(signals.len(), Ordering::Relaxed);
+                            if let Some(store) = store {
+                                batch.extend(signals);
+                                if batch.len() >= 256 {
+                                    store.insert_batch(std::mem::take(&mut batch));
+                                }
                             }
                             if let Some(sink) = sink {
                                 sink.lock().push((env.global, env.item));
@@ -576,7 +585,7 @@ where
                         }
                     }
                 }
-                if !batch.is_empty() {
+                if let (Some(store), false) = (store, batch.is_empty()) {
                     store.insert_batch(batch);
                 }
             });
@@ -609,7 +618,7 @@ where
         }
     }
     IngestReport {
-        stored: store.len() - before,
+        stored: stored.into_inner(),
         fed: outcome.fed,
         unfed: outcome.unfed,
         retries: outcome.retries,
@@ -660,7 +669,7 @@ mod tests {
             )),
             Box::new(PostSource::new("forum-crawl", &forum.posts)),
         ];
-        ingest_stream_with(store, sources, &cfg, normalise_fn, None)
+        ingest_stream_with(Some(store), sources, &cfg, normalise_fn, None)
     }
 
     #[test]

@@ -8,13 +8,13 @@
 //! * **Snapshots** (`snapshot-<seq>.snap`): a versioned, checksummed dump
 //!   of the full service state — the dataset and forum, the columnar
 //!   [`crate::frame::SessionFrame`], the interned
-//!   [`sentiment::corpus::TokenCorpus`] (when built), the
-//!   [`crate::store::SignalStore`] day by day, the accumulated health
-//!   totals, and the dead-letter quarantine. Written with the classic
-//!   atomic protocol: encode to `snapshot.tmp`, `fsync`, rename into
-//!   place, `fsync` the directory. A reader never observes a
-//!   half-written snapshot; a crash mid-write leaves the previous
-//!   snapshot untouched.
+//!   [`sentiment::corpus::TokenCorpus`] (when built), the accumulated
+//!   health totals, the dead-letter quarantine, and the installed view
+//!   keys. No copy of the signals is written: signal counts are read
+//!   from the recovered generation. Written with the classic atomic
+//!   protocol: encode to `snapshot.tmp`, `fsync`, rename into place,
+//!   `fsync` the directory. A reader never observes a half-written
+//!   snapshot; a crash mid-write leaves the previous snapshot untouched.
 //! * **Journal** (`journal.log`): an append-only log of committed ingest
 //!   batches. Every [`crate::service::UsaasService::ingest_append`] run
 //!   writes one framed record — accepted sessions/posts plus the run's
@@ -40,7 +40,6 @@ use crate::ingest::{QuarantineEntry, QuarantineReason};
 use crate::predict::FeatureSet;
 use crate::service::SessionChunks;
 use crate::signals::{ExplicitSignal, ImplicitSignal, NetworkHint, Payload, Signal, SocialSignal};
-use crate::store::SignalStore;
 use crate::views::ViewKey;
 use analytics::time::Date;
 use conference::platform::Platform;
@@ -91,10 +90,14 @@ const DIFF_MAGIC: &[u8; 8] = b"USAASDF\x01";
 /// Differential snapshot format version. A reader that does not know the
 /// version skips the diff and falls back to the full snapshot chain.
 const DIFF_VERSION: u32 = 1;
-/// Snapshot format version. v2 appends the materialized-view key list
-/// ([`crate::views::ViewKey`]) after the signal store; v1 snapshots (no
-/// key list) still load, recovering with an empty view set.
-const SNAPSHOT_VERSION: u32 = 2;
+/// Snapshot format version. v3 drops the signal section that v1 and v2
+/// carried between the corpus and the view keys: a second copy of every
+/// session and post text, which served only the signal counts the
+/// generation now derives. v2 appended the materialized-view key list
+/// ([`crate::views::ViewKey`]). v1 and v2 snapshots still load: their
+/// signal section is validated and discarded, and a v1 snapshot (no key
+/// list) recovers with an empty view set.
+const SNAPSHOT_VERSION: u32 = 3;
 /// Magic leading every journal record frame ("UJRL", little-endian).
 const RECORD_MAGIC: u32 = 0x4C52_4A55;
 /// Bytes of a journal record frame header: magic u32 + len u64 + crc u32.
@@ -381,14 +384,6 @@ fn sentiment_class_from_tag(tag: u8) -> Result<SentimentClass, bin::Error> {
     })
 }
 
-fn network_hint_tag(h: NetworkHint) -> u8 {
-    match h {
-        NetworkHint::Terrestrial => 0,
-        NetworkHint::SatelliteLeo => 1,
-        NetworkHint::Unknown => 2,
-    }
-}
-
 fn network_hint_from_tag(tag: u8) -> Result<NetworkHint, bin::Error> {
     Ok(match tag {
         0 => NetworkHint::Terrestrial,
@@ -582,12 +577,6 @@ pub(crate) fn get_post(r: &mut Reader<'_>) -> Result<Post, bin::Error> {
     })
 }
 
-fn put_scores(w: &mut Writer, s: &SentimentScores) {
-    w.put_f64(s.positive);
-    w.put_f64(s.negative);
-    w.put_f64(s.neutral);
-}
-
 fn get_scores(r: &mut Reader<'_>) -> Result<SentimentScores, bin::Error> {
     Ok(SentimentScores {
         positive: r.get_f64()?,
@@ -596,38 +585,7 @@ fn get_scores(r: &mut Reader<'_>) -> Result<SentimentScores, bin::Error> {
     })
 }
 
-fn put_signal(w: &mut Writer, s: &Signal) {
-    put_date(w, s.date);
-    w.put_u8(network_hint_tag(s.network));
-    match &s.payload {
-        Payload::Implicit(i) => {
-            w.put_u8(0);
-            put_session(w, &i.session);
-        }
-        Payload::Explicit(e) => {
-            w.put_u8(1);
-            w.put_u8(e.rating);
-            w.put_u64(e.call_id);
-            w.put_u64(e.user_id);
-        }
-        Payload::Social(s) => {
-            w.put_u8(2);
-            w.put_str(&s.text);
-            w.put_u32(s.upvotes);
-            w.put_u32(s.comments);
-            w.put_str(s.country);
-            put_scores(w, &s.sentiment);
-            match &s.screenshot_text {
-                None => w.put_u8(0),
-                Some(t) => {
-                    w.put_u8(1);
-                    w.put_str(t);
-                }
-            }
-        }
-    }
-}
-
+/// Decode one signal record of a v1/v2 snapshot's signal section.
 fn get_signal(r: &mut Reader<'_>) -> Result<Signal, bin::Error> {
     let date = get_date(r)?;
     let network = network_hint_from_tag(r.get_u8()?)?;
@@ -757,7 +715,6 @@ pub(crate) struct SnapshotContents<'a> {
     pub(crate) posts: &'a Chunks<Post>,
     pub(crate) frame: &'a SessionFrame,
     pub(crate) corpus: Option<&'a TokenCorpus>,
-    pub(crate) store: &'a SignalStore,
     pub(crate) health: &'a PersistedHealth,
     /// Keys of the materialized views installed at checkpoint time, in
     /// canonical order; recovery rebuilds them deterministically.
@@ -772,7 +729,6 @@ pub(crate) struct SnapshotState {
     pub(crate) posts: Vec<Post>,
     pub(crate) frame: SessionFrame,
     pub(crate) corpus: Option<TokenCorpus>,
-    pub(crate) store: SignalStore,
     pub(crate) health: PersistedHealth,
     pub(crate) view_keys: Vec<ViewKey>,
 }
@@ -798,16 +754,6 @@ fn encode_snapshot(c: &SnapshotContents<'_>) -> Vec<u8> {
             corpus.encode_bin(&mut w);
         }
     }
-    w.put_u64(c.store.day_count() as u64);
-    c.store.for_each_day(|date, signals| {
-        put_date(&mut w, date);
-        w.put_u64(signals.len() as u64);
-        for s in signals {
-            put_signal(&mut w, s);
-        }
-    });
-    // v2 tail: the materialized-view key list. Appended last so the v1
-    // prefix of the payload is unchanged.
     w.put_u64(c.view_keys.len() as u64);
     for &key in c.view_keys {
         put_view_key(&mut w, key);
@@ -839,16 +785,8 @@ fn decode_snapshot(payload: &[u8], version: u32) -> Result<SnapshotState, bin::E
         1 => Some(TokenCorpus::decode_bin(&mut r)?),
         _ => return Err(bin::Error::Corrupt("corpus option tag not 0/1")),
     };
-    let store = SignalStore::new();
-    let n_days = r.get_len()?;
-    for _ in 0..n_days {
-        let _date = get_date(&mut r)?;
-        let n_signals = r.get_len()?;
-        let mut batch = Vec::with_capacity(n_signals);
-        for _ in 0..n_signals {
-            batch.push(get_signal(&mut r)?);
-        }
-        store.insert_batch(batch);
+    if version < 3 {
+        skip_legacy_signals(&mut r)?;
     }
     let mut view_keys = Vec::new();
     if version >= 2 {
@@ -867,10 +805,23 @@ fn decode_snapshot(payload: &[u8], version: u32) -> Result<SnapshotState, bin::E
         posts,
         frame,
         corpus,
-        store,
         health,
         view_keys,
     })
+}
+
+/// Walk the signal section of a v1/v2 snapshot — a per-day copy of every
+/// session and post text — validating each record as it goes and keeping
+/// none of it. Every count is bounded by the bytes left, and nothing is
+/// allocated from one.
+fn skip_legacy_signals(r: &mut Reader<'_>) -> Result<(), bin::Error> {
+    for _ in 0..r.get_len()? {
+        get_date(r)?;
+        for _ in 0..r.get_len()? {
+            get_signal(r)?;
+        }
+    }
+    Ok(())
 }
 
 /// Path of the snapshot covering journal sequence `seq`.
@@ -963,8 +914,8 @@ fn load_snapshot(path: &Path) -> Result<SnapshotState, PersistError> {
         return Err(corrupt("bad magic or truncated header".to_string()));
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    // v1 readable for upgrade-in-place: same payload minus the view-key
-    // tail, which decodes to an empty view set.
+    // v1 and v2 readable for upgrade-in-place: their signal section is
+    // skipped, and v1's missing view-key tail decodes to an empty view set.
     if version == 0 || version > SNAPSHOT_VERSION {
         return Err(corrupt(format!("unsupported snapshot version {version}")));
     }
@@ -987,17 +938,16 @@ fn load_snapshot(path: &Path) -> Result<SnapshotState, PersistError> {
 // Differential snapshots.
 //
 // All persisted state grows append-only — sessions, posts, and every frame
-// column only ever extend, and the store/health/view-key bits are either
-// derivable from the tails or small. So the dirty range since the last
-// full snapshot is a *suffix* per column, and a differential checkpoint
-// writes exactly that: the session and post tails past the base full
-// snapshot's watermarks, plus the (small) full health and view-key list.
-// Applying a diff re-derives the rest the same way journal replay does:
-// the frame extends from the session tail (bit-identical to a rebuild —
-// the frame-extension invariant), the corpus extends from the post tail
-// (id-stable), and the store inserts the tails' signals. The journal is
-// never truncated by a diff, so a diff that fails to apply — missing or
-// corrupt base, unknown version, watermark mismatch — degrades to the
+// column only ever extend, and the health/view-key bits are small. So the
+// dirty range since the last full snapshot is a *suffix* per column, and a
+// differential checkpoint writes exactly that: the session and post tails
+// past the base full snapshot's watermarks, plus the (small) full health
+// and view-key list. Applying a diff re-derives the rest the same way
+// journal replay does: the frame extends from the session tail
+// (bit-identical to a rebuild — the frame-extension invariant), and the
+// corpus extends from the post tail (id-stable). The journal is never
+// truncated by a diff, so a diff that fails to apply — missing or corrupt
+// base, unknown version, watermark mismatch — degrades to the
 // full-snapshot chain plus journal replay, never to data loss.
 // ---------------------------------------------------------------------------
 
@@ -1170,12 +1120,12 @@ fn load_diff(path: &Path) -> Result<DiffState, PersistError> {
 }
 
 /// Apply a decoded diff on top of its base full snapshot, re-deriving the
-/// frame, corpus, and store exactly as journal replay would: the frame
-/// extends from the session tail (bit-identical to a rebuild over the
-/// concatenated dataset), the corpus — when the base carried one —
-/// extends from the post tail (extension preserves existing token ids),
-/// and the store inserts the tails' signals. Errors when the base does not
-/// match the watermarks the diff was encoded against.
+/// frame and corpus exactly as journal replay would: the frame extends
+/// from the session tail (bit-identical to a rebuild over the
+/// concatenated dataset), and the corpus — when the base carried one —
+/// extends from the post tail (extension preserves existing token ids).
+/// Errors when the base does not match the watermarks the diff was
+/// encoded against.
 fn apply_diff(
     mut base: SnapshotState,
     diff: DiffState,
@@ -1210,17 +1160,6 @@ fn apply_diff(
                 emit(part);
             }
         });
-    }
-    let analyzer = sentiment::analyzer::SentimentAnalyzer::default();
-    let mut signals: Vec<Signal> = Vec::new();
-    for s in &diff.sessions_tail {
-        signals.extend(Signal::from_session(s));
-    }
-    for p in &diff.posts_tail {
-        signals.push(Signal::from_post(p, &analyzer));
-    }
-    if !signals.is_empty() {
-        base.store.insert_batch(signals);
     }
     base.sessions.extend(diff.sessions_tail);
     base.posts.extend(diff.posts_tail);
@@ -1380,6 +1319,17 @@ impl JournalRecord {
 #[derive(Debug)]
 pub(crate) struct Journal {
     file: fs::File,
+}
+
+#[cfg(test)]
+impl Journal {
+    /// A handle on `path` that every append fails on (read-only): how the
+    /// tests provoke a journal-write failure.
+    pub(crate) fn read_only(path: &Path) -> std::io::Result<Journal> {
+        Ok(Journal {
+            file: fs::File::open(path)?,
+        })
+    }
 }
 
 impl Journal {
@@ -1992,6 +1942,54 @@ mod tests {
         assert!(r.is_exhausted());
     }
 
+    fn network_hint_tag(h: NetworkHint) -> u8 {
+        match h {
+            NetworkHint::Terrestrial => 0,
+            NetworkHint::SatelliteLeo => 1,
+            NetworkHint::Unknown => 2,
+        }
+    }
+
+    fn put_scores(w: &mut Writer, s: &SentimentScores) {
+        w.put_f64(s.positive);
+        w.put_f64(s.negative);
+        w.put_f64(s.neutral);
+    }
+
+    /// Encoder of one v1/v2 signal record: the test oracle of
+    /// [`get_signal`] (the service writes no signals).
+    fn put_signal(w: &mut Writer, s: &Signal) {
+        put_date(w, s.date);
+        w.put_u8(network_hint_tag(s.network));
+        match &s.payload {
+            Payload::Implicit(i) => {
+                w.put_u8(0);
+                put_session(w, &i.session);
+            }
+            Payload::Explicit(e) => {
+                w.put_u8(1);
+                w.put_u8(e.rating);
+                w.put_u64(e.call_id);
+                w.put_u64(e.user_id);
+            }
+            Payload::Social(s) => {
+                w.put_u8(2);
+                w.put_str(&s.text);
+                w.put_u32(s.upvotes);
+                w.put_u32(s.comments);
+                w.put_str(s.country);
+                put_scores(w, &s.sentiment);
+                match &s.screenshot_text {
+                    None => w.put_u8(0),
+                    Some(t) => {
+                        w.put_u8(1);
+                        w.put_str(t);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn signals_round_trip_including_nan_payloads() {
         let analyzer = sentiment::analyzer::SentimentAnalyzer::default();
@@ -2239,17 +2237,6 @@ mod tests {
             },
             2,
         );
-        let store = SignalStore::new();
-        let analyzer = sentiment::analyzer::SentimentAnalyzer::default();
-        for s in &sessions {
-            store.insert_batch(Signal::from_session(s));
-        }
-        store.insert_batch(
-            posts
-                .iter()
-                .map(|p| Signal::from_post(p, &analyzer))
-                .collect(),
-        );
         let health = PersistedHealth {
             quarantined: 2,
             unfed: 1,
@@ -2285,7 +2272,6 @@ mod tests {
             posts: &post_chunks,
             frame: &frame,
             corpus: None,
-            store: &store,
             health: &health,
             view_keys: &view_keys,
         };
@@ -2299,7 +2285,6 @@ mod tests {
         assert_eq!(state.sessions, sessions);
         assert_eq!(state.posts, posts);
         assert_eq!(state.frame.len(), frame.len());
-        assert_eq!(state.store.len(), store.len());
         assert_eq!(state.health.dead_letters, health.dead_letters);
         assert_eq!(state.health.open_breakers, health.open_breakers);
         assert_eq!(state.view_keys, view_keys);
@@ -2343,7 +2328,6 @@ mod tests {
             },
             1,
         );
-        let store = SignalStore::new();
         let health = PersistedHealth::default();
         let session_chunks = SessionChunks::from_vec(sessions);
         let flat = Chunks::from_vec(posts.clone());
@@ -2358,7 +2342,6 @@ mod tests {
                 posts,
                 frame: &frame,
                 corpus: None,
-                store: &store,
                 health: &health,
                 view_keys: &[ViewKey::Outage],
             })
@@ -2403,7 +2386,6 @@ mod tests {
             },
             1,
         );
-        let store = SignalStore::new();
         let health = PersistedHealth::default();
         let session_chunks = SessionChunks::from_vec(sessions);
         for seq in [1u64, 2, 3, 4] {
@@ -2416,7 +2398,6 @@ mod tests {
                     posts: &Chunks::default(),
                     frame: &frame,
                     corpus: None,
-                    store: &store,
                     health: &health,
                     view_keys: &[],
                 },
@@ -2425,5 +2406,165 @@ mod tests {
         }
         assert_eq!(snapshot_seqs(&dir).unwrap(), vec![4, 3]);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A v2 full snapshot (with the signal section v3 dropped), written by
+    /// the v2 encoder as the `checkpoint_full` of [`fixture_service`].
+    const V2_FIXTURE: &[u8] = include_bytes!("../../../tests/fixtures/snapshot-v2.snap");
+
+    /// The queries whose views [`fixture_service`] installs.
+    fn fixture_queries() -> Vec<crate::service::Query> {
+        use crate::service::Query;
+        vec![
+            Query::EngagementCurve {
+                sweep: NetworkMetric::LatencyMs,
+                engagement: EngagementMetric::Presence,
+                bins: 4,
+            },
+            Query::MosCorrelation,
+            Query::OutageTimeline,
+        ]
+    }
+
+    /// The tiny persisted service behind [`V2_FIXTURE`]: 16 sessions (one
+    /// rated) and a two-day forum, three views installed, then one append
+    /// of a poison pill, 8 sessions and 3 posts, then a full checkpoint
+    /// (`snapshot-1.snap`).
+    fn fixture_service(dir: &Path) -> crate::service::UsaasService {
+        use crate::ingest::IngestConfig;
+        use crate::source::{ItemSource, RawItem, Source};
+        let _ = fs::remove_dir_all(dir);
+        let dataset = generate(&DatasetConfig::small(4, 12));
+        let mut cfg = ForumConfig::default();
+        cfg.end = cfg.start.offset(1);
+        cfg.authors = 12;
+        let forum = gen_forum(&cfg);
+        cfg.seed = 3;
+        let extra_posts = gen_forum(&cfg).posts;
+        let extra_sessions = generate(&DatasetConfig::small(2, 8)).sessions;
+        let svc = crate::service::UsaasService::build_persistent(dataset, forum, 1, dir).unwrap();
+        for q in fixture_queries() {
+            let _ = svc.query(&q);
+        }
+        let mut items = vec![RawItem::Poison("fixture pill")];
+        items.extend(
+            extra_sessions
+                .into_iter()
+                .map(|s| RawItem::Session(Box::new(s))),
+        );
+        items.extend(
+            extra_posts
+                .into_iter()
+                .take(3)
+                .map(|p| RawItem::Post(Box::new(p))),
+        );
+        let sources: Vec<Box<dyn Source>> = vec![Box::new(ItemSource::new("fixture-feed", items))];
+        svc.ingest_append(sources, &IngestConfig::with_workers(1));
+        svc.checkpoint_full().unwrap();
+        svc
+    }
+
+    fn frame_bytes(frame: &SessionFrame) -> Vec<u8> {
+        let mut w = Writer::new();
+        frame.encode_bin(&mut w);
+        w.into_bytes()
+    }
+
+    fn corpus_bytes(corpus: Option<&TokenCorpus>) -> Option<Vec<u8>> {
+        corpus.map(|c| {
+            let mut w = Writer::new();
+            c.encode_bin(&mut w);
+            w.into_bytes()
+        })
+    }
+
+    #[test]
+    fn v2_fixture_loads_like_the_service_that_wrote_it() {
+        assert!(V2_FIXTURE.len() <= 64 << 10);
+        assert_eq!(&V2_FIXTURE[..8], SNAPSHOT_MAGIC);
+        assert_eq!(u32::from_le_bytes(V2_FIXTURE[8..12].try_into().unwrap()), 2);
+        let legacy = decode_snapshot(&V2_FIXTURE[24..], 2).unwrap();
+
+        let dir = tmp_dir("v2-fixture-writer");
+        let svc = fixture_service(&dir);
+        let fresh = load_snapshot(&snapshot_path(&dir, 1)).unwrap();
+        assert_eq!(legacy.epoch, fresh.epoch);
+        assert_eq!(legacy.journal_seq, fresh.journal_seq);
+        assert_eq!(legacy.sessions, fresh.sessions);
+        assert_eq!(legacy.posts, fresh.posts);
+        assert_eq!(
+            frame_bytes(&legacy.frame),
+            frame_bytes(svc.snapshot().frame())
+        );
+        assert_eq!(frame_bytes(&legacy.frame), frame_bytes(&fresh.frame));
+        assert!(legacy.corpus.is_some(), "the outage view built the corpus");
+        assert_eq!(
+            corpus_bytes(legacy.corpus.as_ref()),
+            corpus_bytes(fresh.corpus.as_ref())
+        );
+        assert_eq!(legacy.health.quarantined, 1);
+        assert_eq!(legacy.health.quarantined, fresh.health.quarantined);
+        assert_eq!(legacy.health.unfed, fresh.health.unfed);
+        assert_eq!(legacy.health.breaker_trips, fresh.health.breaker_trips);
+        assert_eq!(legacy.health.open_breakers, fresh.health.open_breakers);
+        assert_eq!(legacy.health.dead_letters, fresh.health.dead_letters);
+        assert_eq!(legacy.view_keys, svc.snapshot().views().keys());
+        assert_eq!(legacy.view_keys, fresh.view_keys);
+        // v3 is the v2 payload without its signal section.
+        let v3_len = fs::metadata(snapshot_path(&dir, 1)).unwrap().len();
+        assert!(v3_len < V2_FIXTURE.len() as u64, "{v3_len}");
+
+        // Recovering from the fixture alone gives the writer's counts:
+        // (24, 1, 71) is what its signal store held.
+        let only = tmp_dir("v2-fixture-open");
+        fs::write(snapshot_path(&only, 1), V2_FIXTURE).unwrap();
+        let recovered = crate::service::UsaasService::open_or_recover(&only, 2).unwrap();
+        assert!(recovered.health().recovery_warnings.is_empty());
+        assert_eq!(recovered.signal_counts(), (24, 1, 71));
+        assert_eq!(recovered.signal_counts(), svc.signal_counts());
+        assert_eq!(recovered.dead_letters(), svc.dead_letters());
+        assert_eq!(recovered.snapshot().views().keys(), legacy.view_keys);
+        for q in fixture_queries() {
+            assert_eq!(
+                format!("{:?}", recovered.query(&q)),
+                format!("{:?}", svc.query(&q)),
+                "{q:?}"
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&only);
+    }
+
+    /// The v2 fixture's payload and a fresh v3 payload of the same
+    /// service, each with the version it decodes as.
+    fn damaged_payload_bases() -> &'static [(Vec<u8>, u32)] {
+        static BASES: std::sync::OnceLock<Vec<(Vec<u8>, u32)>> = std::sync::OnceLock::new();
+        BASES.get_or_init(|| {
+            let dir = tmp_dir("damaged-payload-bases");
+            fixture_service(&dir);
+            let v3 = fs::read(snapshot_path(&dir, 1)).unwrap();
+            let _ = fs::remove_dir_all(&dir);
+            vec![(V2_FIXTURE[24..].to_vec(), 2), (v3[24..].to_vec(), 3)]
+        })
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn damaged_snapshot_payloads_decode_or_err_without_panicking(
+            cut in 0usize..usize::MAX,
+            at in 0usize..usize::MAX,
+            bit in 0u32..8,
+        ) {
+            for (payload, version) in damaged_payload_bases() {
+                let cut = cut % payload.len();
+                prop_assert!(decode_snapshot(&payload[..cut], *version).is_err());
+                let mut flipped = payload.clone();
+                flipped[at % payload.len()] ^= 1 << bit;
+                // A flip inside a float or a text byte can still decode.
+                let _ = decode_snapshot(&flipped, *version);
+            }
+        }
     }
 }

@@ -6,9 +6,8 @@
 //! performance metrics and possible user actions of interest, application
 //! QoE metrics, etc."*
 //!
-//! [`UsaasService::build`] ingests a conferencing dataset and a forum corpus
-//! (through the parallel [`crate::ingest`] pipeline into the
-//! [`crate::store::SignalStore`]) and then answers [`Query`] values — each
+//! [`UsaasService::build`] takes a conferencing dataset and a forum corpus
+//! as its first [`Generation`] and then answers [`Query`] values — each
 //! one a figure/analysis from the paper, plus the §5 flagship cross-network
 //! query ("how do Starlink users perceive the conferencing service?") and
 //! the §6 deployment-advice loop.
@@ -27,9 +26,7 @@ use crate::persist::{
     SnapshotContents, JOURNAL_FILE,
 };
 use crate::predict::{self, Evaluation, FeatureSet};
-use crate::signals::{Signal, SignalKind};
 use crate::source::{ItemSource, RawItem, Source};
-use crate::store::SignalStore;
 use crate::views::{
     CurveView, DeploymentView, EmergingTopicsView, GridView, MosView, OutageView, PlatformView,
     PredictView, SentimentView, SpeedTrendView, View, ViewDelta, ViewKey, ViewSet,
@@ -918,13 +915,11 @@ struct PersistState {
     records_compacted: u64,
 }
 
-/// The service: a shared append-only [`SignalStore`] plus a swappable
-/// current [`Generation`]. Queries serve from a snapshot; committed
-/// appends bump the epoch.
+/// The service: a swappable current [`Generation`] holding every
+/// committed session and post. Queries serve from a snapshot; committed
+/// appends bump the epoch. Every answer, [`UsaasService::signal_counts`]
+/// included, is derived from the generation.
 pub struct UsaasService {
-    /// Append-only signal ledger, shared by every generation — ingestion
-    /// writes here while queries keep serving.
-    store: Arc<SignalStore>,
     /// The generation queries snapshot. Swapped atomically by commits.
     current: RwLock<Arc<Generation>>,
     /// Worker-thread budget the service was built with.
@@ -939,11 +934,10 @@ pub struct UsaasService {
 }
 
 impl UsaasService {
-    /// Build the service: ingest both sources into the signal store and
-    /// materialise the columnar session frame, both on `workers` threads.
+    /// Build the service: the dataset and forum become the epoch-0
+    /// generation, and the columnar session frame is materialised on
+    /// `workers` threads.
     pub fn build(dataset: CallDataset, forum: Forum, workers: usize) -> UsaasService {
-        let store = SignalStore::new();
-        crate::ingest::ingest_all(&store, &dataset, &forum, workers);
         let frame = SessionFrame::from_dataset(&dataset, workers);
         let date_range = forum.date_range();
         let generation = Generation::new(
@@ -959,7 +953,6 @@ impl UsaasService {
         // first cold query anyway) and pre-fills the lazy cell.
         let _ = generation.frame.set(frame);
         UsaasService {
-            store: Arc::new(store),
             current: RwLock::new(Arc::new(generation)),
             workers,
             append_lock: Mutex::new(()),
@@ -968,7 +961,7 @@ impl UsaasService {
         }
     }
 
-    /// Build a *durable* service in `dir`: ingest exactly as
+    /// Build a *durable* service in `dir`: build exactly as
     /// [`UsaasService::build`], then write the epoch-0 snapshot and open
     /// the journal, so every subsequent committed append survives a crash.
     /// Refuses a directory that already holds a persisted service — that
@@ -1042,7 +1035,6 @@ impl UsaasService {
         // on the recovered generation never re-materialise it.
         let _ = generation.frame.set(state.frame);
         let svc = UsaasService {
-            store: Arc::new(state.store),
             current: RwLock::new(Arc::new(generation)),
             workers,
             append_lock: Mutex::new(()),
@@ -1068,9 +1060,8 @@ impl UsaasService {
         };
 
         // Replay the tail: every journaled batch newer than the snapshot,
-        // re-normalised and committed exactly as the original append was.
+        // committed exactly as the original append was.
         let mut last_seq = state.journal_seq;
-        let analyzer = sentiment::analyzer::SentimentAnalyzer::default();
         for record in records {
             if record.seq <= state.journal_seq {
                 continue;
@@ -1081,16 +1072,6 @@ impl UsaasService {
                     last_seq + 1,
                     record.seq
                 ));
-            }
-            let mut signals: Vec<Signal> = Vec::new();
-            for s in &record.sessions {
-                signals.extend(Signal::from_session(s));
-            }
-            for p in &record.posts {
-                signals.push(Signal::from_post(p, &analyzer));
-            }
-            if !signals.is_empty() {
-                svc.store.insert_batch(signals);
             }
             if !record.sessions.is_empty() || !record.posts.is_empty() {
                 let _appending = svc.append_lock.lock();
@@ -1167,7 +1148,7 @@ impl UsaasService {
         let Some(persist) = &self.persist else {
             return Err(PersistError::NotPersistent);
         };
-        // Holding the append lock freezes epoch/journal-seq/store together.
+        // Holding the append lock freezes epoch and journal seq together.
         let _appending = self.append_lock.lock();
         let generation = self.snapshot();
         let health = self.persisted_health();
@@ -1198,7 +1179,7 @@ impl UsaasService {
                 );
             }
         }
-        Self::write_full_locked(&mut state, &generation, &self.store, &health, &view_keys)
+        Self::write_full_locked(&mut state, &generation, &health, &view_keys)
     }
 
     /// Write a full snapshot unconditionally (atomic tmp → fsync →
@@ -1214,14 +1195,13 @@ impl UsaasService {
         let health = self.persisted_health();
         let view_keys = generation.views.keys();
         let mut state = persist.lock();
-        Self::write_full_locked(&mut state, &generation, &self.store, &health, &view_keys)
+        Self::write_full_locked(&mut state, &generation, &health, &view_keys)
     }
 
     /// Shared full-snapshot write: records the new diff base on success.
     fn write_full_locked(
         state: &mut PersistState,
         generation: &Generation,
-        store: &SignalStore,
         health: &PersistedHealth,
         view_keys: &[ViewKey],
     ) -> Result<PathBuf, PersistError> {
@@ -1234,7 +1214,6 @@ impl UsaasService {
                 posts: &generation.forum,
                 frame: generation.frame(),
                 corpus: generation.social_corpus.get().map(Arc::as_ref),
-                store,
                 health,
                 view_keys,
             },
@@ -1279,18 +1258,18 @@ impl UsaasService {
     }
 
     /// Signal counts by family `(implicit, explicit, social)` — the paper's
-    /// point in one tuple: implicit signals dwarf explicit ones.
+    /// point in one tuple: implicit signals dwarf explicit ones. Counted
+    /// from the current generation's records — one implicit signal per
+    /// session, one explicit per rated session, one social per post — so
+    /// each count traces to the committed records behind it.
     pub fn signal_counts(&self) -> (usize, usize, usize) {
-        (
-            self.store.count_kind(SignalKind::Implicit),
-            self.store.count_kind(SignalKind::Explicit),
-            self.store.count_kind(SignalKind::Social),
-        )
-    }
-
-    /// The underlying store (read access for custom analyses).
-    pub fn store(&self) -> &SignalStore {
-        &self.store
+        let generation = self.snapshot();
+        let rated = generation
+            .sessions
+            .iter()
+            .filter(|s| s.rating.is_some())
+            .count();
+        (generation.sessions.len(), rated, generation.forum.len())
     }
 
     /// Answer-cache hits of the current generation.
@@ -1436,13 +1415,13 @@ impl UsaasService {
     /// (retry/backoff, circuit breakers, quarantine) and commit every
     /// accepted item as a new generation — append-while-serving.
     ///
-    /// Signals stream into the shared store as workers process them;
-    /// queries racing the append keep serving their pinned snapshot. Once
-    /// the run finishes, accepted items are folded into a successor
-    /// generation (frame extended with delta columns, corpus grown
-    /// incrementally when already built) whose fresh answer cache makes
-    /// subsequent queries see the appended data. Quarantined or unfed
-    /// items and open breakers are accumulated into [`UsaasService::health`].
+    /// Workers normalise every item (catching poison pills) while queries
+    /// racing the append keep serving their pinned snapshot. Once the run
+    /// finishes, accepted items are folded into a successor generation
+    /// (frame extended with delta columns, corpus grown incrementally when
+    /// already built) whose fresh answer cache makes subsequent queries
+    /// see the appended data. Quarantined or unfed items and open breakers
+    /// are accumulated into [`UsaasService::health`].
     /// On a persisted service, the run is journaled **before** the
     /// in-memory commit — one durable record carrying the accepted items,
     /// the quarantined dead-letters, and the health deltas — so a crash at
@@ -1451,7 +1430,9 @@ impl UsaasService {
     /// answer cache and materialized views) keeps serving, memory and disk
     /// stay consistent, and the failure is reported through
     /// `ServiceHealth::recovery_warnings` so the caller can retry the
-    /// batch once the journal is writable again.
+    /// batch once the journal is writable again. Nothing of the aborted
+    /// batch is kept anywhere, so [`UsaasService::signal_counts`] does not
+    /// count it either.
     pub fn ingest_append(
         &self,
         sources: Vec<Box<dyn Source + '_>>,
@@ -1460,7 +1441,7 @@ impl UsaasService {
         // Appends are serialised end-to-end so the journal order equals
         // the commit order. Queries never take this lock.
         let _appending = self.append_lock.lock();
-        let (report, accepted) = ingest::ingest_stream_collect(&self.store, sources, cfg);
+        let (report, accepted) = ingest::ingest_stream_collect(sources, cfg);
         let mut sessions: Vec<SessionRecord> = Vec::new();
         let mut posts: Vec<Post> = Vec::new();
         for item in accepted {
@@ -1725,6 +1706,27 @@ mod tests {
             implicit > 50 * explicit,
             "implicit {implicit} vs explicit {explicit}"
         );
+    }
+
+    #[test]
+    fn a_batch_whose_journal_append_fails_is_not_counted() {
+        let dir = std::env::temp_dir().join(format!("usaas-svc-{}-abort", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let dataset = generate(&DatasetConfig::small(20, 4));
+        let svc = UsaasService::build_persistent(dataset, Forum::default(), 1, &dir).unwrap();
+        let before = svc.signal_counts();
+        svc.persist.as_ref().unwrap().lock().journal =
+            Journal::read_only(&dir.join(JOURNAL_FILE)).unwrap();
+        let extra = generate(&DatasetConfig::small(5, 6)).sessions;
+        let report = svc.append_batch(extra, Vec::new());
+        assert!(report.stored > 0, "the batch was normalised");
+        assert_eq!(svc.epoch(), 0, "the commit was aborted");
+        assert_eq!(svc.signal_counts(), before);
+        assert!(svc.health().recovery_warnings[0].contains("batch not committed"));
+        drop(svc);
+        let reopened = UsaasService::open_or_recover(&dir, 1).unwrap();
+        assert_eq!(reopened.signal_counts(), before, "a restart agrees");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -34,10 +34,11 @@ fn main() {
     });
     println!("  {} posts", forum.len());
 
-    // 2. Stand up the service (parallel ingestion into the signal store).
+    // 2. Stand up the service: the dataset and forum become its first
+    //    generation, and signal counts are read from it.
     let service = UsaasService::build(dataset, forum, 4);
     let (implicit, explicit, social) = service.signal_counts();
-    println!("\nsignal store: {implicit} implicit, {explicit} explicit, {social} social");
+    println!("\nsignals: {implicit} implicit, {explicit} explicit, {social} social");
     println!(
         "(the paper's point: explicit feedback is {}x scarcer than implicit signals)",
         implicit / explicit.max(1)

@@ -14,8 +14,8 @@ use social::post::{Forum, Post};
 use std::fs;
 use std::path::{Path, PathBuf};
 use usaas::{
-    journal_record_offsets, IngestConfig, ItemSource, Query, RawItem, Source, UsaasService,
-    JOURNAL_FILE,
+    ingest_all, ingest_stream, journal_record_offsets, IngestConfig, ItemSource, Query, RawItem,
+    SignalKind, SignalStore, Source, UsaasService, JOURNAL_FILE,
 };
 
 /// Fresh scratch directory under the system temp dir, emptied first.
@@ -504,4 +504,110 @@ fn dead_letter_ring_cap_survives_recovery_with_derived_drop_count() {
         "the retained tail is bit-identical"
     );
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// The counts a signal store holds, in `signal_counts` order.
+fn store_counts(store: &SignalStore) -> (usize, usize, usize) {
+    (
+        store.count_kind(SignalKind::Implicit),
+        store.count_kind(SignalKind::Explicit),
+        store.count_kind(SignalKind::Social),
+    )
+}
+
+/// Feed `items` through one source into the service's append path and,
+/// as the oracle, through the store-backed engine into `store`.
+fn append_mirrored(svc: &UsaasService, store: &SignalStore, items: Vec<RawItem>) {
+    let cfg = IngestConfig::with_workers(1);
+    let oracle: Vec<Box<dyn Source>> = vec![Box::new(ItemSource::new("feed", items.clone()))];
+    ingest_stream(store, oracle, &cfg);
+    let live: Vec<Box<dyn Source>> = vec![Box::new(ItemSource::new("feed", items))];
+    svc.ingest_append(live, &cfg);
+}
+
+#[test]
+fn derived_signal_counts_match_a_store_ingest() {
+    let fx = Fixture::new();
+    let dir = tmp_dir("derived-counts");
+    let store = SignalStore::new();
+    ingest_all(&store, &fx.dataset, &fx.forum, 2);
+    let svc =
+        UsaasService::build_persistent(fx.dataset.clone(), fx.forum.clone(), 2, &dir).unwrap();
+    let built = store_counts(&store);
+    assert!(built.1 > 0, "the dataset carries rated sessions");
+    assert_eq!(svc.signal_counts(), built, "after build");
+
+    // Seq 1: sessions around a poison pill, which is quarantined and so
+    // counted by neither side.
+    let mut items = vec![RawItem::Poison("bad upstream frame")];
+    items.extend(
+        fx.op1_sessions
+            .iter()
+            .map(|s| RawItem::Session(Box::new(s.clone()))),
+    );
+    append_mirrored(&svc, &store, items);
+    assert_eq!(svc.dead_letters().len(), 1);
+    assert_eq!(
+        svc.signal_counts(),
+        store_counts(&store),
+        "after the poisoned append"
+    );
+    assert_eq!(svc.signal_counts().0, built.0 + fx.op1_sessions.len());
+
+    // Seq 2: posts only.
+    append_mirrored(
+        &svc,
+        &store,
+        fx.op2_posts
+            .iter()
+            .map(|p| RawItem::Post(Box::new(p.clone())))
+            .collect(),
+    );
+    let at_full = store_counts(&store);
+    assert_eq!(svc.signal_counts(), at_full, "after the post-only append");
+    assert_eq!(at_full.2, built.2 + fx.op2_posts.len());
+    svc.checkpoint_full().unwrap();
+
+    // Seq 3: both families, checkpointed as a diff over seq 2.
+    let mut items: Vec<RawItem> = fx
+        .op3_sessions
+        .iter()
+        .map(|s| RawItem::Session(Box::new(s.clone())))
+        .collect();
+    items.extend(
+        fx.op3_posts
+            .iter()
+            .map(|p| RawItem::Post(Box::new(p.clone()))),
+    );
+    append_mirrored(&svc, &store, items);
+    let at_diff = store_counts(&store);
+    assert_eq!(svc.signal_counts(), at_diff);
+    let diff = svc.checkpoint().unwrap();
+    assert!(diff.ends_with("diff-2-3.snap"), "{diff:?}");
+    drop(svc);
+
+    // From the full snapshot alone: no diff, journal cut at its seq.
+    let full_only = tmp_dir("derived-counts-full");
+    copy_dir(&dir, &full_only);
+    fs::remove_file(full_only.join("diff-2-3.snap")).unwrap();
+    let offsets = journal_record_offsets(&full_only.join(JOURNAL_FILE)).unwrap();
+    fs::OpenOptions::new()
+        .write(true)
+        .open(full_only.join(JOURNAL_FILE))
+        .unwrap()
+        .set_len(offsets[2])
+        .unwrap();
+    let recovered = UsaasService::open_or_recover(&full_only, 4).unwrap();
+    assert!(recovered.health().recovery_warnings.is_empty());
+    assert_eq!(recovered.epoch(), 2);
+    assert_eq!(recovered.signal_counts(), at_full, "from the full snapshot");
+
+    // Through the diff.
+    let recovered = UsaasService::open_or_recover(&dir, 4).unwrap();
+    assert!(recovered.health().recovery_warnings.is_empty());
+    assert_eq!(recovered.epoch(), 3);
+    assert_eq!(recovered.signal_counts(), at_diff, "from the diff");
+    for d in [dir, full_only] {
+        let _ = fs::remove_dir_all(&d);
+    }
 }
