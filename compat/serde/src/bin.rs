@@ -237,16 +237,76 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected — the zlib/`cksum -o3`
-/// variant), computed bytewise with an 8-iteration bit loop. Fast enough
-/// for checkpoint-sized payloads and dependency-free.
+/// The reflected IEEE 802.3 polynomial of CRC-32/ISO-HDLC.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables: `[0][b]` is the CRC of the single byte `b`, and
+/// `[k][b]` is `[k - 1][b]` advanced by one more zero byte, so one lookup
+/// in each of the eight tables folds eight input bytes at once.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC32_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+/// CRC-32/ISO-HDLC (IEEE 802.3 polynomial, reflected — the zlib/`cksum
+/// -o3` variant), table-driven: slicing-by-8 over whole 8-byte words,
+/// then one table step per trailing byte. Same polynomial, initial value
+/// and final xor as the bitwise definition, so every checksum on disk is
+/// unchanged. Portable and dependency-free.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut crc: u32 = !0;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][usize::from(w[4])]
+            ^ t[2][usize::from(w[5])]
+            ^ t[1][usize::from(w[6])]
+            ^ t[0][usize::from(w[7])];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+    }
+    !crc
+}
+
+/// The bitwise definition of [`crc32`] — eight shift/xor steps per byte —
+/// kept as the oracle the table-driven version is tested against.
+#[cfg(test)]
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
     let mut crc: u32 = !0;
     for &b in bytes {
         crc ^= u32::from(b);
         for _ in 0..8 {
             let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            crc = (crc >> 1) ^ (CRC32_POLY & mask);
         }
     }
     !crc
@@ -325,7 +385,42 @@ mod tests {
     fn crc32_known_vectors() {
         // Standard test vector for CRC-32/ISO-HDLC.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"abc"), crc32(b"abd"));
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_oracle_at_every_length_and_offset() {
+        // Every length 0..=300 (each remainder mod 8, many times over) at
+        // every start offset 0..8 of one buffer, so unaligned words and
+        // every tail length are covered deterministically.
+        let buf: Vec<u8> = (0..308u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for offset in 0..8 {
+            for len in 0..=300 {
+                let slice = &buf[offset..offset + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bitwise(slice),
+                    "offset {offset} len {len}"
+                );
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn crc32_equals_crc32_bitwise(
+            bytes in prop::collection::vec(0u8..=255, 0..301),
+            offset in 0usize..8,
+        ) {
+            prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
+            let tail = &bytes[offset.min(bytes.len())..];
+            prop_assert_eq!(crc32(tail), crc32_bitwise(tail));
+        }
     }
 }

@@ -9,6 +9,9 @@
 //! * `recover_replay` — `open_or_recover` of a directory holding only the
 //!   epoch-0 snapshot plus a journaled append: decode plus the journal
 //!   replay path (re-normalise, extend the frame, commit).
+//! * `crc32_12mib` — the CRC-32 every snapshot, diff and journal frame is
+//!   checksummed with on write and on load, over a fixed 12 MiB buffer
+//!   (about one full snapshot of the serving benchmark's base service).
 //!
 //! The `persist_differential` group prices the dirty-column checkpoint
 //! against those full snapshots, over the same service shape:
@@ -25,6 +28,7 @@
 use analytics::time::Date;
 use conference::dataset::{generate, DatasetConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
+use serde::bin;
 use social::generator::{generate as gen_forum, ForumConfig};
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -34,6 +38,8 @@ use usaas::UsaasService;
 const N: usize = 800;
 /// Worker threads for builds and recovery.
 const WORKERS: usize = 4;
+/// Bytes the `crc32_12mib` row checksums.
+const CRC_BYTES: usize = 12 << 20;
 
 fn scratch(tag: &str) -> PathBuf {
     let dir =
@@ -82,6 +88,12 @@ fn bench_persist_roundtrip(c: &mut Criterion) {
             let recovered = UsaasService::open_or_recover(&replay_dir, WORKERS).unwrap();
             black_box(recovered.epoch())
         })
+    });
+    let buf: Vec<u8> = (0..CRC_BYTES as u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+        .collect();
+    group.bench_function("crc32_12mib", |b| {
+        b.iter(|| black_box(bin::crc32(black_box(&buf))))
     });
     group.finish();
 

@@ -302,6 +302,30 @@ pub fn normalise(item: &RawItem, analyzer: &SentimentAnalyzer) -> Vec<Signal> {
     }
 }
 
+/// [`normalise`] `item` onto the end of `out`; returns how many signals
+/// it yielded. The store path's per-item step.
+fn normalise_into(item: &RawItem, analyzer: &SentimentAnalyzer, out: &mut Vec<Signal>) -> usize {
+    let signals = normalise(item, analyzer);
+    let n = signals.len();
+    out.extend(signals);
+    n
+}
+
+/// How many signals [`normalise`] yields for `item`, without building
+/// them: one per session plus one more when it is rated, one per post.
+///
+/// # Panics
+///
+/// Panics on [`RawItem::Poison`], exactly as [`normalise`] does, so the
+/// quarantine path treats a pill the same on either step.
+pub(crate) fn signal_count(item: &RawItem) -> usize {
+    match item {
+        RawItem::Session(s) => 1 + usize::from(s.rating.is_some()),
+        RawItem::Post(_) => 1,
+        RawItem::Poison(msg) => panic!("poison pill: {msg}"),
+    }
+}
+
 /// Ingest a call dataset and a forum corpus into the store using `workers`
 /// normalisation threads — the build-time path over trusted in-memory
 /// sources (no retries needed, panics propagate).
@@ -342,20 +366,27 @@ pub fn ingest_stream<'a>(
     sources: Vec<Box<dyn Source + 'a>>,
     cfg: &IngestConfig,
 ) -> IngestReport {
-    ingest_stream_with(Some(store), sources, cfg, normalise, None)
+    ingest_stream_with(Some(store), sources, cfg, normalise_into, None)
 }
 
-/// The streaming pipeline without a store: every item is still
-/// normalised (that is where a poison pill is caught), its signals are
-/// counted into `stored` and dropped, and every accepted item (fed and
-/// successfully normalised) is returned in deterministic feed order — the
-/// append-while-serving path commits exactly these items.
+/// The streaming pipeline without a store: every item goes through the
+/// count-only [`signal_count`] step (that is where a poison pill is
+/// caught), which adds the signals it would yield to `stored` without
+/// building them, and every accepted item (fed and not poison) is
+/// returned in deterministic feed order — the append-while-serving path
+/// commits exactly these items.
 pub(crate) fn ingest_stream_collect<'a>(
     sources: Vec<Box<dyn Source + 'a>>,
     cfg: &IngestConfig,
 ) -> (IngestReport, Vec<RawItem>) {
     let sink = Mutex::new(Vec::new());
-    let report = ingest_stream_with(None, sources, cfg, normalise, Some(&sink));
+    let report = ingest_stream_with(
+        None,
+        sources,
+        cfg,
+        |item, _, _| signal_count(item),
+        Some(&sink),
+    );
     let mut accepted = sink.into_inner();
     // Workers interleave arbitrarily; the producer's global sequence
     // restores feed order.
@@ -519,18 +550,19 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// The engine: spawn the worker pool, run the producer, assemble the
-/// report. Workers batch their signals into `store` when there is one and
-/// only count them otherwise. Generic over the normalisation function so
-/// tests can inject a faulty worker.
+/// report. Each item goes through `step`, which may push its signals
+/// onto the worker's batch and returns how many the item yields; the
+/// batch goes into `store` when there is one. Generic over the step so
+/// the collect path can only count and tests can inject a faulty worker.
 fn ingest_stream_with<'a, N>(
     store: Option<&SignalStore>,
     mut sources: Vec<Box<dyn Source + 'a>>,
     cfg: &IngestConfig,
-    normalise_fn: N,
+    step: N,
     sink: Option<&Mutex<Vec<(u64, RawItem)>>>,
 ) -> IngestReport
 where
-    N: Fn(&RawItem, &SentimentAnalyzer) -> Vec<Signal> + Sync,
+    N: Fn(&RawItem, &SentimentAnalyzer, &mut Vec<Signal>) -> usize + Sync,
 {
     let workers = cfg.workers.max(1);
     let (tx, rx) = channel::bounded::<Envelope>(4096);
@@ -542,7 +574,7 @@ where
     let joined = crossbeam::thread::scope(|scope| {
         for _ in 0..workers {
             let rx = rx.clone();
-            let normalise_fn = &normalise_fn;
+            let step = &step;
             let quarantine = &quarantine;
             let names = &names;
             let panics = cfg.panics;
@@ -551,23 +583,20 @@ where
                 let analyzer = SentimentAnalyzer::default();
                 let mut batch: Vec<Signal> = Vec::with_capacity(256);
                 for env in rx.iter() {
-                    // Only the normalisation call is guarded: a poison item
+                    // Only the per-item step is guarded: a poison item
                     // is data, a panic anywhere else is a bug and must
                     // still take the run down.
                     let result = match panics {
-                        PanicPolicy::Propagate => Ok(normalise_fn(&env.item, &analyzer)),
-                        PanicPolicy::Quarantine => {
-                            catch_unwind(AssertUnwindSafe(|| normalise_fn(&env.item, &analyzer)))
-                        }
+                        PanicPolicy::Propagate => Ok(step(&env.item, &analyzer, &mut batch)),
+                        PanicPolicy::Quarantine => catch_unwind(AssertUnwindSafe(|| {
+                            step(&env.item, &analyzer, &mut batch)
+                        })),
                     };
                     match result {
-                        Ok(signals) => {
-                            stored.fetch_add(signals.len(), Ordering::Relaxed);
-                            if let Some(store) = store {
-                                batch.extend(signals);
-                                if batch.len() >= 256 {
-                                    store.insert_batch(std::mem::take(&mut batch));
-                                }
+                        Ok(count) => {
+                            stored.fetch_add(count, Ordering::Relaxed);
+                            if let (Some(store), true) = (store, batch.len() >= 256) {
+                                store.insert_batch(std::mem::take(&mut batch));
                             }
                             if let Some(sink) = sink {
                                 sink.lock().push((env.global, env.item));
@@ -646,16 +675,16 @@ mod tests {
         gen_forum(&cfg)
     }
 
-    /// Legacy-shaped helper: build-time ingest with an injected normaliser.
+    /// Legacy-shaped helper: build-time ingest with an injected step.
     fn ingest_with<N>(
         store: &SignalStore,
         dataset: &CallDataset,
         forum: &Forum,
         workers: usize,
-        normalise_fn: N,
+        step: N,
     ) -> IngestReport
     where
-        N: Fn(&RawItem, &SentimentAnalyzer) -> Vec<Signal> + Sync,
+        N: Fn(&RawItem, &SentimentAnalyzer, &mut Vec<Signal>) -> usize + Sync,
     {
         let cfg = IngestConfig {
             workers,
@@ -669,7 +698,7 @@ mod tests {
             )),
             Box::new(PostSource::new("forum-crawl", &forum.posts)),
         ];
-        ingest_stream_with(Some(store), sources, &cfg, normalise_fn, None)
+        ingest_stream_with(Some(store), sources, &cfg, step, None)
     }
 
     #[test]
@@ -710,6 +739,50 @@ mod tests {
     }
 
     #[test]
+    fn signal_count_matches_normalise_without_building_signals() {
+        let dataset = generate(&DatasetConfig::small(60, 11));
+        let forum = small_forum();
+        assert!(
+            dataset.rated_sessions().count() > 0,
+            "some sessions are rated"
+        );
+        assert!(
+            dataset.rated_sessions().count() < dataset.len(),
+            "and some are not"
+        );
+        let analyzer = SentimentAnalyzer::default();
+        let items = dataset
+            .sessions
+            .iter()
+            .map(|s| RawItem::Session(Box::new(s.clone())))
+            .chain(
+                forum
+                    .posts
+                    .iter()
+                    .map(|p| RawItem::Post(Box::new(p.clone()))),
+            );
+        for item in items {
+            assert_eq!(signal_count(&item), normalise(&item, &analyzer).len());
+        }
+        let pill = RawItem::Poison("boom");
+        let caught = catch_unwind(AssertUnwindSafe(|| signal_count(&pill)));
+        assert!(caught.is_err(), "a poison pill panics the count step too");
+
+        // The collect path reports the same `stored` as the store path.
+        let sources = || -> Vec<Box<dyn Source + '_>> {
+            vec![
+                Box::new(SessionSource::new("telemetry", &dataset.sessions)),
+                Box::new(PostSource::new("forum", &forum.posts)),
+            ]
+        };
+        let cfg = IngestConfig::with_workers(2);
+        let (collected, accepted) = ingest_stream_collect(sources(), &cfg);
+        let stored = ingest_stream(&SignalStore::new(), sources(), &cfg);
+        assert_eq!(collected.stored, stored.stored);
+        assert_eq!(accepted.len(), dataset.len() + forum.len());
+    }
+
+    #[test]
     fn empty_sources_ingest_nothing() {
         let store = SignalStore::new();
         let report = ingest_all(&store, &CallDataset::default(), &Forum::default(), 2);
@@ -728,11 +801,16 @@ mod tests {
         let dataset = generate(&DatasetConfig::small(200, 9));
         let forum = Forum::default();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            ingest_with(&store, &dataset, &forum, 2, |item, _| match item {
-                RawItem::Session(_) => panic!("normaliser exploded"),
-                RawItem::Post(p) => vec![Signal::from_post(p, &SentimentAnalyzer::default())],
-                RawItem::Poison(msg) => panic!("poison pill: {msg}"),
-            })
+            ingest_with(
+                &store,
+                &dataset,
+                &forum,
+                2,
+                |item, analyzer, out| match item {
+                    RawItem::Session(_) => panic!("normaliser exploded"),
+                    _ => normalise_into(item, analyzer, out),
+                },
+            )
         }));
         let payload = result.expect_err("a worker panic must propagate");
         let msg = payload

@@ -848,30 +848,69 @@ pub(crate) fn snapshot_seqs(dir: &Path) -> std::io::Result<Vec<u64>> {
     Ok(seqs)
 }
 
-/// Assemble a checksummed snapshot-family file: magic + version + payload
-/// length + CRC-32 + payload.
-pub(crate) fn frame_file(magic: &[u8; 8], version: u32, payload: &[u8]) -> Vec<u8> {
-    let mut file_bytes = Vec::with_capacity(payload.len() + 24);
-    file_bytes.extend_from_slice(magic);
-    file_bytes.extend_from_slice(&version.to_le_bytes());
-    file_bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    file_bytes.extend_from_slice(&bin::crc32(payload).to_le_bytes());
-    file_bytes.extend_from_slice(payload);
-    file_bytes
+/// Bytes of a snapshot-family file header: magic + version u32 + payload
+/// length u64 + CRC-32 u32.
+const FILE_HEADER: usize = 24;
+
+/// The header of a checksummed snapshot-family file: magic + version +
+/// payload length + CRC-32 of the payload, which follows it on disk.
+pub(crate) fn frame_file(magic: &[u8; 8], version: u32, payload: &[u8]) -> [u8; FILE_HEADER] {
+    let mut header = [0u8; FILE_HEADER];
+    header[..8].copy_from_slice(magic);
+    header[8..12].copy_from_slice(&version.to_le_bytes());
+    header[12..20].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    header[20..].copy_from_slice(&bin::crc32(payload).to_le_bytes());
+    header
 }
 
-/// Write `file_bytes` with the atomic tmp → fsync → rename → fsync-dir
-/// protocol.
+/// Check a snapshot-family file written by [`frame_file`]: its magic, a
+/// version in `versions`, the payload length against the header, then
+/// the CRC-32. Returns the version and the payload. `kind` names the file
+/// in the version error ("snapshot", "diff", "cluster snapshot"); the
+/// error texts are quoted verbatim in recovery warnings.
+pub(crate) fn unframe_file<'a>(
+    magic: &[u8; 8],
+    kind: &str,
+    versions: std::ops::RangeInclusive<u32>,
+    bytes: &'a [u8],
+) -> Result<(u32, &'a [u8]), String> {
+    if bytes.len() < FILE_HEADER || &bytes[..8] != magic {
+        return Err("bad magic or truncated header".to_string());
+    }
+    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+    if !versions.contains(&version) {
+        return Err(format!("unsupported {kind} version {version}"));
+    }
+    let len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")) as usize;
+    let crc = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes"));
+    let payload = &bytes[FILE_HEADER..];
+    if payload.len() != len {
+        return Err(format!(
+            "payload length {} disagrees with header {len}",
+            payload.len()
+        ));
+    }
+    if bin::crc32(payload) != crc {
+        return Err("checksum mismatch".to_string());
+    }
+    Ok((version, payload))
+}
+
+/// Write `header` then `payload` to one file with the atomic tmp → fsync
+/// → rename → fsync-dir protocol. Taking the two parts separately spares
+/// a checkpoint a second, framed copy of its encoded payload.
 pub(crate) fn write_atomic(
     dir: &Path,
     tmp_name: &str,
     path: &Path,
-    file_bytes: &[u8],
+    header: &[u8],
+    payload: &[u8],
 ) -> std::io::Result<()> {
     let tmp = dir.join(tmp_name);
     {
         let mut f = fs::File::create(&tmp)?;
-        f.write_all(file_bytes)?;
+        f.write_all(header)?;
+        f.write_all(payload)?;
         f.sync_all()?;
     }
     fs::rename(&tmp, path)?;
@@ -887,9 +926,9 @@ pub(crate) fn write_snapshot(
     contents: &SnapshotContents<'_>,
 ) -> Result<PathBuf, PersistError> {
     let payload = encode_snapshot(contents);
-    let file_bytes = frame_file(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, &payload);
+    let header = frame_file(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, &payload);
     let path = snapshot_path(dir, contents.journal_seq);
-    write_atomic(dir, SNAPSHOT_TMP, &path, &file_bytes)?;
+    write_atomic(dir, SNAPSHOT_TMP, &path, &header, &payload)?;
 
     for stale in snapshot_seqs(dir)?.into_iter().skip(SNAPSHOTS_KEPT) {
         let _ = fs::remove_file(snapshot_path(dir, stale));
@@ -910,27 +949,10 @@ fn load_snapshot(path: &Path) -> Result<SnapshotState, PersistError> {
         detail,
     };
     let bytes = fs::read(path)?;
-    if bytes.len() < 24 || &bytes[..8] != SNAPSHOT_MAGIC {
-        return Err(corrupt("bad magic or truncated header".to_string()));
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
     // v1 and v2 readable for upgrade-in-place: their signal section is
     // skipped, and v1's missing view-key tail decodes to an empty view set.
-    if version == 0 || version > SNAPSHOT_VERSION {
-        return Err(corrupt(format!("unsupported snapshot version {version}")));
-    }
-    let len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")) as usize;
-    let crc = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes"));
-    let payload = &bytes[24..];
-    if payload.len() != len {
-        return Err(corrupt(format!(
-            "payload length {} disagrees with header {len}",
-            payload.len()
-        )));
-    }
-    if bin::crc32(payload) != crc {
-        return Err(corrupt("checksum mismatch".to_string()));
-    }
+    let (version, payload) =
+        unframe_file(SNAPSHOT_MAGIC, "snapshot", 1..=SNAPSHOT_VERSION, &bytes).map_err(corrupt)?;
     decode_snapshot(payload, version).map_err(|e| corrupt(e.to_string()))
 }
 
@@ -1080,9 +1102,9 @@ pub(crate) fn write_diff_snapshot(
     contents: &DiffContents<'_>,
 ) -> Result<PathBuf, PersistError> {
     let payload = encode_diff(contents);
-    let file_bytes = frame_file(DIFF_MAGIC, DIFF_VERSION, &payload);
+    let header = frame_file(DIFF_MAGIC, DIFF_VERSION, &payload);
     let path = diff_path(dir, contents.base_seq, contents.journal_seq);
-    write_atomic(dir, DIFF_TMP, &path, &file_bytes)?;
+    write_atomic(dir, DIFF_TMP, &path, &header, &payload)?;
 
     for (base, seq) in diff_seqs(dir)?.into_iter().skip(DIFFS_KEPT) {
         let _ = fs::remove_file(diff_path(dir, base, seq));
@@ -1097,25 +1119,8 @@ fn load_diff(path: &Path) -> Result<DiffState, PersistError> {
         detail,
     };
     let bytes = fs::read(path)?;
-    if bytes.len() < 24 || &bytes[..8] != DIFF_MAGIC {
-        return Err(corrupt("bad magic or truncated header".to_string()));
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if version == 0 || version > DIFF_VERSION {
-        return Err(corrupt(format!("unsupported diff version {version}")));
-    }
-    let len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")) as usize;
-    let crc = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes"));
-    let payload = &bytes[24..];
-    if payload.len() != len {
-        return Err(corrupt(format!(
-            "payload length {} disagrees with header {len}",
-            payload.len()
-        )));
-    }
-    if bin::crc32(payload) != crc {
-        return Err(corrupt("checksum mismatch".to_string()));
-    }
+    let (_, payload) =
+        unframe_file(DIFF_MAGIC, "diff", 1..=DIFF_VERSION, &bytes).map_err(corrupt)?;
     decode_diff(payload).map_err(|e| corrupt(e.to_string()))
 }
 
@@ -1382,6 +1387,33 @@ pub(crate) fn read_and_repair_journal(
     Ok(records)
 }
 
+/// Check the journal record frame starting at `pos`: a whole header, the
+/// record magic, a payload inside `bytes`, and its CRC-32. Returns the
+/// payload's byte range, or why the frame is unusable. The repair, offset
+/// and compaction walks all step through the journal with it.
+fn record_frame(bytes: &[u8], pos: usize) -> Result<std::ops::Range<usize>, &'static str> {
+    if bytes.len() - pos < RECORD_HEADER as usize {
+        return Err("torn record header");
+    }
+    let magic = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"));
+    if magic != RECORD_MAGIC {
+        return Err("bad record magic");
+    }
+    let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().expect("8 bytes"));
+    let crc = u32::from_le_bytes(bytes[pos + 12..pos + 16].try_into().expect("4 bytes"));
+    let body_start = pos + RECORD_HEADER as usize;
+    let Some(body_end) = (len as usize)
+        .checked_add(body_start)
+        .filter(|end| *end <= bytes.len())
+    else {
+        return Err("torn record payload");
+    };
+    if bin::crc32(&bytes[body_start..body_end]) != crc {
+        return Err("record checksum mismatch");
+    }
+    Ok(body_start..body_end)
+}
+
 /// Walk the journal byte stream, returning `(records, valid_len,
 /// complaint)` where `valid_len` is the byte length of the valid prefix
 /// and `complaint` describes why the scan stopped early (None when the
@@ -1389,36 +1421,12 @@ pub(crate) fn read_and_repair_journal(
 fn scan_journal(bytes: &[u8]) -> (Vec<JournalRecord>, u64, Option<String>) {
     let mut records = Vec::new();
     let mut pos: usize = 0;
-    loop {
-        let remaining = bytes.len() - pos;
-        if remaining == 0 {
-            return (records, pos as u64, None);
-        }
-        if remaining < RECORD_HEADER as usize {
-            return (records, pos as u64, Some("torn record header".to_string()));
-        }
-        let magic = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"));
-        if magic != RECORD_MAGIC {
-            return (records, pos as u64, Some("bad record magic".to_string()));
-        }
-        let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().expect("8 bytes"));
-        let crc = u32::from_le_bytes(bytes[pos + 12..pos + 16].try_into().expect("4 bytes"));
-        let body_start = pos + RECORD_HEADER as usize;
-        let Some(body_end) = (len as usize)
-            .checked_add(body_start)
-            .filter(|end| *end <= bytes.len())
-        else {
-            return (records, pos as u64, Some("torn record payload".to_string()));
+    while pos < bytes.len() {
+        let body = match record_frame(bytes, pos) {
+            Ok(body) => body,
+            Err(complaint) => return (records, pos as u64, Some(complaint.to_string())),
         };
-        let payload = &bytes[body_start..body_end];
-        if bin::crc32(payload) != crc {
-            return (
-                records,
-                pos as u64,
-                Some("record checksum mismatch".to_string()),
-            );
-        }
-        match JournalRecord::decode(payload) {
+        match JournalRecord::decode(&bytes[body.clone()]) {
             Ok(rec) => records.push(rec),
             Err(e) => {
                 return (
@@ -1428,8 +1436,9 @@ fn scan_journal(bytes: &[u8]) -> (Vec<JournalRecord>, u64, Option<String>) {
                 );
             }
         }
-        pos = body_end;
+        pos = body.end;
     }
+    (records, pos as u64, None)
 }
 
 /// Byte offsets of the record boundaries in a journal file: `offsets[0] ==
@@ -1440,30 +1449,11 @@ pub fn journal_record_offsets(path: &Path) -> Result<Vec<u64>, PersistError> {
     let bytes = fs::read(path)?;
     let mut offsets = vec![0u64];
     let mut pos: usize = 0;
-    loop {
-        let remaining = bytes.len() - pos;
-        if remaining < RECORD_HEADER as usize {
-            return Ok(offsets);
-        }
-        let magic = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"));
-        if magic != RECORD_MAGIC {
-            return Ok(offsets);
-        }
-        let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().expect("8 bytes"));
-        let crc = u32::from_le_bytes(bytes[pos + 12..pos + 16].try_into().expect("4 bytes"));
-        let body_start = pos + RECORD_HEADER as usize;
-        let Some(body_end) = (len as usize)
-            .checked_add(body_start)
-            .filter(|end| *end <= bytes.len())
-        else {
-            return Ok(offsets);
-        };
-        if bin::crc32(&bytes[body_start..body_end]) != crc {
-            return Ok(offsets);
-        }
-        offsets.push(body_end as u64);
-        pos = body_end;
+    while let Ok(body) = record_frame(&bytes, pos) {
+        offsets.push(body.end as u64);
+        pos = body.end;
     }
+    Ok(offsets)
 }
 
 /// Live-journal observability: how much disk the write-ahead log holds
@@ -1554,30 +1544,13 @@ pub(crate) fn compact_journal_file(
     // (first payload field) without decoding bodies.
     let mut frames: Vec<(u64, std::ops::Range<usize>)> = Vec::new();
     let mut pos: usize = 0;
-    loop {
-        let remaining = bytes.len() - pos;
-        if remaining < RECORD_HEADER as usize {
+    while let Ok(body) = record_frame(&bytes, pos) {
+        if body.len() < 8 {
             break;
         }
-        let magic = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"));
-        if magic != RECORD_MAGIC {
-            break;
-        }
-        let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().expect("8 bytes"));
-        let crc = u32::from_le_bytes(bytes[pos + 12..pos + 16].try_into().expect("4 bytes"));
-        let body_start = pos + RECORD_HEADER as usize;
-        let Some(body_end) = (len as usize)
-            .checked_add(body_start)
-            .filter(|end| *end <= bytes.len())
-        else {
-            break;
-        };
-        if len < 8 || bin::crc32(&bytes[body_start..body_end]) != crc {
-            break;
-        }
-        let seq = u64::from_le_bytes(bytes[body_start..body_start + 8].try_into().expect("seq"));
-        frames.push((seq, pos..body_end));
-        pos = body_end;
+        let seq = u64::from_le_bytes(bytes[body.start..body.start + 8].try_into().expect("seq"));
+        frames.push((seq, pos..body.end));
+        pos = body.end;
     }
     let total = frames.len() as u64;
     report.kept_records = frames.iter().filter(|(seq, _)| *seq > keep_after).count() as u64;
@@ -1600,7 +1573,7 @@ pub(crate) fn compact_journal_file(
         }
     }
     report.bytes_after = out.len() as u64;
-    write_atomic(dir, JOURNAL_TMP, &path, &out)?;
+    write_atomic(dir, JOURNAL_TMP, &path, &[], &out)?;
     Ok(report)
 }
 
@@ -1809,9 +1782,9 @@ pub(crate) fn write_cluster_snapshot(
     contents: &ClusterSnapContents,
 ) -> Result<PathBuf, PersistError> {
     let payload = contents.encode();
-    let file_bytes = frame_file(CLUSTER_SNAP_MAGIC, CLUSTER_SNAP_VERSION, &payload);
+    let header = frame_file(CLUSTER_SNAP_MAGIC, CLUSTER_SNAP_VERSION, &payload);
     let path = cluster_snapshot_path(dir, contents.covered_seq);
-    write_atomic(dir, CLUSTER_SNAP_TMP, &path, &file_bytes)?;
+    write_atomic(dir, CLUSTER_SNAP_TMP, &path, &header, &payload)?;
     for stale in cluster_snapshot_seqs(dir)?
         .into_iter()
         .skip(CLUSTER_SNAPSHOTS_KEPT)
@@ -1828,27 +1801,13 @@ fn load_cluster_snapshot(path: &Path) -> Result<ClusterSnapContents, PersistErro
         detail,
     };
     let bytes = fs::read(path)?;
-    if bytes.len() < 24 || &bytes[..8] != CLUSTER_SNAP_MAGIC {
-        return Err(corrupt("bad magic or truncated header".to_string()));
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if version != CLUSTER_SNAP_VERSION {
-        return Err(corrupt(format!(
-            "unsupported cluster snapshot version {version}"
-        )));
-    }
-    let len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")) as usize;
-    let crc = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes"));
-    let payload = &bytes[24..];
-    if payload.len() != len {
-        return Err(corrupt(format!(
-            "payload length {} disagrees with header {len}",
-            payload.len()
-        )));
-    }
-    if bin::crc32(payload) != crc {
-        return Err(corrupt("checksum mismatch".to_string()));
-    }
+    let (_, payload) = unframe_file(
+        CLUSTER_SNAP_MAGIC,
+        "cluster snapshot",
+        CLUSTER_SNAP_VERSION..=CLUSTER_SNAP_VERSION,
+        &bytes,
+    )
+    .map_err(corrupt)?;
     ClusterSnapContents::decode(payload).map_err(|e| corrupt(e.to_string()))
 }
 
@@ -2223,6 +2182,133 @@ mod tests {
         let records = read_and_repair_journal(&path, &mut warnings).unwrap();
         assert_eq!(records.len(), 2, "records before the flip survive");
         assert!(warnings[0].contains("checksum"), "{warnings:?}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unframe_file_keeps_every_error_text() {
+        let payload = b"checksummed payload".to_vec();
+        let header = frame_file(DIFF_MAGIC, 1, &payload);
+        let file = [&header[..], &payload].concat();
+        let unframe = |bytes: &[u8]| {
+            unframe_file(DIFF_MAGIC, "diff", 1..=DIFF_VERSION, bytes).map(|(v, p)| (v, p.to_vec()))
+        };
+        assert_eq!(unframe(&file), Ok((1, payload.clone())));
+        assert_eq!(
+            unframe(&file[..FILE_HEADER - 1]),
+            Err("bad magic or truncated header".to_string())
+        );
+        assert_eq!(
+            unframe_file(SNAPSHOT_MAGIC, "snapshot", 1..=SNAPSHOT_VERSION, &file),
+            Err("bad magic or truncated header".to_string())
+        );
+        let mut future = file.clone();
+        future[8] = 9;
+        assert_eq!(
+            unframe(&future),
+            Err("unsupported diff version 9".to_string())
+        );
+        assert_eq!(
+            unframe_file(
+                DIFF_MAGIC,
+                "cluster snapshot",
+                CLUSTER_SNAP_VERSION..=CLUSTER_SNAP_VERSION,
+                &future
+            ),
+            Err("unsupported cluster snapshot version 9".to_string())
+        );
+        assert_eq!(
+            unframe(&file[..file.len() - 1]),
+            Err(format!(
+                "payload length {} disagrees with header {}",
+                payload.len() - 1,
+                payload.len()
+            ))
+        );
+        let mut flipped = file.clone();
+        flipped[FILE_HEADER + 3] ^= 1;
+        assert_eq!(unframe(&flipped), Err("checksum mismatch".to_string()));
+    }
+
+    #[test]
+    fn a_flipped_payload_byte_fails_every_snapshot_family_checksum() {
+        let dir = tmp_dir("payload-flip");
+        let sessions = SessionChunks::from_vec(sample_sessions(12));
+        let posts = Chunks::from_vec(sample_posts());
+        let frame = SessionFrame::from_dataset(
+            &conference::records::CallDataset {
+                sessions: sessions.to_vec(),
+            },
+            1,
+        );
+        let health = PersistedHealth::default();
+        let full = write_snapshot(
+            &dir,
+            &SnapshotContents {
+                epoch: 1,
+                journal_seq: 1,
+                sessions: &sessions,
+                posts: &posts,
+                frame: &frame,
+                corpus: None,
+                health: &health,
+                view_keys: &[],
+            },
+        )
+        .unwrap();
+        let diff = write_diff_snapshot(
+            &dir,
+            &DiffContents {
+                epoch: 2,
+                journal_seq: 2,
+                base_seq: 1,
+                base_rows: 4,
+                base_posts: 3,
+                sessions: &sessions,
+                posts: &posts,
+                health: &health,
+                view_keys: &[],
+            },
+        )
+        .unwrap();
+        let cluster = write_cluster_snapshot(
+            &dir,
+            &ClusterSnapContents {
+                covered_seq: 3,
+                epoch: 3,
+                partitions: 2,
+                batch_counts: vec![1, 2],
+                session_maps: vec![vec![0, 2], vec![1]],
+                post_maps: vec![vec![0], vec![]],
+                total_sessions: 3,
+                total_posts: 1,
+                quarantined: 0,
+                unfed: 0,
+                breaker_trips: 0,
+                open_breakers: Vec::new(),
+                dead_letters: Vec::new(),
+                dead_letters_dropped: 0,
+            },
+        )
+        .unwrap();
+        assert!(load_snapshot(&full).is_ok());
+        assert!(load_diff(&diff).is_ok());
+        assert!(load_cluster_snapshot(&cluster).is_ok());
+
+        fn detail<T>(loaded: Result<T, PersistError>) -> String {
+            match loaded {
+                Err(PersistError::Corrupt { detail, .. }) => detail,
+                Err(other) => panic!("expected a corrupt file, got {other}"),
+                Ok(_) => panic!("a flipped payload byte loaded"),
+            }
+        }
+        for path in [&full, &diff, &cluster] {
+            let len = fs::metadata(path).unwrap().len();
+            flip_byte(path, FILE_HEADER as u64 + (len - FILE_HEADER as u64) / 2).unwrap();
+        }
+        assert_eq!(detail(load_snapshot(&full)), "checksum mismatch");
+        assert_eq!(detail(load_diff(&diff)), "checksum mismatch");
+        assert_eq!(detail(load_cluster_snapshot(&cluster)), "checksum mismatch");
         let _ = fs::remove_dir_all(&dir);
     }
 
