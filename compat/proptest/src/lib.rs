@@ -6,11 +6,13 @@
 //! patterns, and `prop_assert!`/`prop_assert_eq!`. Each property runs a
 //! fixed number of deterministic cases (seeded from the test name) instead
 //! of upstream's adaptive shrinking runner — no shrinking, but failures
-//! reproduce exactly on re-run.
+//! reproduce exactly on re-run. As upstream, the `PROPTEST_CASES`
+//! environment variable overrides the case count.
 
 #![forbid(unsafe_code)]
 
-/// Number of deterministic cases each property runs.
+/// Number of deterministic cases each property runs unless
+/// `PROPTEST_CASES` says otherwise.
 pub const NUM_CASES: usize = 64;
 
 /// Strategies: how to generate a value of some type.
@@ -141,6 +143,17 @@ pub mod test_runner {
         }
         StdRng::seed_from_u64(h)
     }
+
+    /// Cases each property runs: `PROPTEST_CASES` when it is set to a
+    /// number, else [`crate::NUM_CASES`].
+    pub fn num_cases() -> usize {
+        cases_from(std::env::var("PROPTEST_CASES").ok().as_deref())
+    }
+
+    pub(crate) fn cases_from(var: Option<&str>) -> usize {
+        var.and_then(|v| v.trim().parse().ok())
+            .unwrap_or(crate::NUM_CASES)
+    }
 }
 
 /// Everything a property-test module needs.
@@ -151,7 +164,8 @@ pub mod prelude {
 }
 
 /// Define property tests: each `fn name(arg in strategy, ..) { body }`
-/// becomes a `#[test]` running [`NUM_CASES`] deterministic cases.
+/// becomes a `#[test]` running [`test_runner::num_cases`] deterministic
+/// cases.
 #[macro_export]
 macro_rules! proptest {
     ($($(#[$meta:meta])* fn $name:ident ( $($arg:ident in $strat:expr),+ $(,)? ) $body:block)+) => {
@@ -159,10 +173,11 @@ macro_rules! proptest {
             $(#[$meta])*
             fn $name() {
                 let mut rng = $crate::test_runner::deterministic_rng(stringify!($name));
-                for case in 0..$crate::NUM_CASES {
+                let cases = $crate::test_runner::num_cases();
+                for case in 0..cases {
                     $(let $arg = $crate::strategy::Strategy::generate(&($strat), &mut rng);)+
                     let trace = format!(
-                        "proptest case {case}/{}: {}", $crate::NUM_CASES,
+                        "proptest case {case}/{cases}: {}",
                         stringify!($($arg = $strat),+)
                     );
                     let _ = &trace;
@@ -220,6 +235,14 @@ mod tests {
         fn string_pattern_lengths(text in ".{0,400}") {
             prop_assert!(text.chars().count() <= 400);
         }
+    }
+
+    #[test]
+    fn case_count_reads_the_variable_or_defaults() {
+        use crate::test_runner::cases_from;
+        assert_eq!(cases_from(None), crate::NUM_CASES);
+        assert_eq!(cases_from(Some("4096")), 4096);
+        assert_eq!(cases_from(Some("lots")), crate::NUM_CASES);
     }
 
     #[test]

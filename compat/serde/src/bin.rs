@@ -235,6 +235,11 @@ impl<'a> Reader<'a> {
         let n = self.get_len()?;
         self.take(n)
     }
+
+    /// Step over `n` bytes without reading them.
+    pub fn skip(&mut self, n: usize) -> Result<(), Error> {
+        self.take(n).map(|_| ())
+    }
 }
 
 /// The reflected IEEE 802.3 polynomial of CRC-32/ISO-HDLC.
@@ -376,6 +381,11 @@ mod tests {
         assert!(matches!(r.get_len(), Err(Error::Corrupt(_))));
         let mut r2 = Reader::new(&bytes);
         assert!(r2.get_str().is_err());
+        // Skipping past the end is an error; skipping to it is not.
+        assert_eq!(Reader::new(&bytes).skip(9), Err(Error::UnexpectedEof));
+        let mut r4 = Reader::new(&bytes);
+        assert_eq!(r4.skip(8), Ok(()));
+        assert!(r4.is_exhausted());
         // A bad bool byte is corrupt, not a panic.
         let mut r3 = Reader::new(&[9]);
         assert_eq!(r3.get_bool(), Err(Error::Corrupt("bool byte not 0/1")));

@@ -6,7 +6,8 @@
 //! `engagement()` match and a four-range confounder check per session per
 //! query. At the paper's ~200 M-call scale that per-record walk is the
 //! dominant cost. The [`SessionFrame`] materialises the hot fields **once**
-//! (at service build time) into dense per-metric `Vec<f64>` columns plus a
+//! per generation (on the first query that scans columns; the frame is
+//! never persisted) into dense per-metric `Vec<f64>` columns plus a
 //! precomputed reference-range bitmask, so the correlation engine streams
 //! cache-friendly contiguous memory instead of striding through ~250-byte
 //! records — and fans chunks of the columns out across scoped worker
@@ -116,34 +117,6 @@ impl SessionFrame {
         for part in parts {
             self.append(part);
         }
-    }
-
-    /// A new frame holding this frame's rows followed by `sessions` — the
-    /// epoch-rollover path. Every column is copied exactly once into
-    /// storage sized for the final row count (clone-then-extend would copy
-    /// the prefix twice: once in the clone and again when the extend's
-    /// realloc moves it), then the delta rows are appended in order, so
-    /// the result is bit-identical to rebuilding from the concatenated
-    /// dataset (asserted by the frame tests).
-    pub fn extended_by(&self, sessions: &[SessionRecord], workers: usize) -> SessionFrame {
-        let mut out = SessionFrame::with_capacity(self.len + sessions.len());
-        for (dst, src) in out.net_mean.iter_mut().zip(&self.net_mean) {
-            dst.extend_from_slice(src);
-        }
-        for (dst, src) in out.net_p95.iter_mut().zip(&self.net_p95) {
-            dst.extend_from_slice(src);
-        }
-        for (dst, src) in out.engagement.iter_mut().zip(&self.engagement) {
-            dst.extend_from_slice(src);
-        }
-        out.platform.extend_from_slice(&self.platform);
-        out.access.extend_from_slice(&self.access);
-        out.date.extend_from_slice(&self.date);
-        out.rating.extend_from_slice(&self.rating);
-        out.ref_mask.extend_from_slice(&self.ref_mask);
-        out.len = self.len;
-        out.extend_from_sessions(sessions, workers);
-        out
     }
 
     /// Empty frame with per-column capacity reserved.
@@ -296,99 +269,6 @@ impl SessionFrame {
                 .collect()
         })
     }
-
-    /// Serialise every column into `w` (snapshot format). Floats are
-    /// written as raw IEEE-754 bits, so a decoded frame is bit-identical —
-    /// the property the recovery invariant rests on.
-    pub(crate) fn encode_bin(&self, w: &mut serde::bin::Writer) {
-        w.put_u64(self.len as u64);
-        for col in &self.net_mean {
-            for &v in col {
-                w.put_f64(v);
-            }
-        }
-        for col in &self.net_p95 {
-            for &v in col {
-                w.put_f64(v);
-            }
-        }
-        for col in &self.engagement {
-            for &v in col {
-                w.put_f64(v);
-            }
-        }
-        for &p in &self.platform {
-            w.put_u8(crate::persist::platform_tag(p));
-        }
-        for &a in &self.access {
-            w.put_u8(crate::persist::access_tag(a));
-        }
-        for &d in &self.date {
-            w.put_i32(d.days());
-        }
-        for &rating in &self.rating {
-            match rating {
-                None => w.put_u8(0xFF),
-                Some(x) => w.put_u8(x),
-            }
-        }
-        w.put_bytes(&self.ref_mask);
-    }
-
-    /// Decode a frame previously written by [`SessionFrame::encode_bin`],
-    /// validating every enum tag and the column lengths.
-    pub(crate) fn decode_bin(
-        r: &mut serde::bin::Reader<'_>,
-    ) -> Result<SessionFrame, serde::bin::Error> {
-        let len = r.get_u64()? as usize;
-        let mut frame = SessionFrame::with_capacity(len);
-        frame.len = len;
-        for col in &mut frame.net_mean {
-            for _ in 0..len {
-                col.push(r.get_f64()?);
-            }
-        }
-        for col in &mut frame.net_p95 {
-            for _ in 0..len {
-                col.push(r.get_f64()?);
-            }
-        }
-        for col in &mut frame.engagement {
-            for _ in 0..len {
-                col.push(r.get_f64()?);
-            }
-        }
-        for _ in 0..len {
-            frame
-                .platform
-                .push(crate::persist::platform_from_tag(r.get_u8()?)?);
-        }
-        for _ in 0..len {
-            frame
-                .access
-                .push(crate::persist::access_from_tag(r.get_u8()?)?);
-        }
-        for _ in 0..len {
-            frame.date.push(Date::from_days(r.get_i32()?));
-        }
-        for _ in 0..len {
-            frame.rating.push(match r.get_u8()? {
-                0xFF => None,
-                x => Some(x),
-            });
-        }
-        let masks = r.get_bytes()?;
-        if masks.len() != len {
-            return Err(serde::bin::Error::Corrupt(
-                "ref-mask column length disagrees with frame length",
-            ));
-        }
-        if masks.iter().any(|m| *m > ALL_IN_REFERENCE) {
-            return Err(serde::bin::Error::Corrupt("ref-mask has unknown bits set"));
-        }
-        frame.ref_mask = masks.to_vec();
-        Ok(frame)
-    }
 }
 
 /// Fewest elements a chunk must hold before a thread spawn pays for
@@ -485,84 +365,12 @@ mod tests {
     }
 
     #[test]
-    fn extended_by_equals_rebuilding() {
-        let ds = dataset();
-        let split = ds.len() / 4;
-        let mut base = SessionFrame::default();
-        base.extend_from_sessions(&ds.sessions[..split], 4);
-        let extended = base.extended_by(&ds.sessions[split..], 4);
-        let rebuilt = SessionFrame::from_dataset(ds, 4);
-        assert_eq!(base.len(), split, "the source frame is untouched");
-        assert_eq!(extended.len(), rebuilt.len());
-        for m in NetworkMetric::ALL {
-            assert_eq!(extended.net_mean(m), rebuilt.net_mean(m));
-            assert_eq!(extended.net_p95(m), rebuilt.net_p95(m));
-        }
-        for m in EngagementMetric::ALL {
-            assert_eq!(extended.engagement(m), rebuilt.engagement(m));
-        }
-        assert_eq!(extended.platform(), rebuilt.platform());
-        assert_eq!(extended.access(), rebuilt.access());
-        assert_eq!(extended.date(), rebuilt.date());
-        assert_eq!(extended.rating(), rebuilt.rating());
-        assert_eq!(extended.rated_indices(), rebuilt.rated_indices());
-        // An empty delta still yields a standalone, equal frame.
-        let unchanged = rebuilt.extended_by(&[], 4);
-        assert_eq!(unchanged.len(), rebuilt.len());
-        assert_eq!(unchanged.rating(), rebuilt.rating());
-    }
-
-    #[test]
     fn empty_dataset_yields_empty_frame() {
         let frame = SessionFrame::from_dataset(&CallDataset::default(), 4);
         assert_eq!(frame.len(), 0);
         assert!(frame.is_empty());
         assert!(frame.rated_indices().is_empty());
         assert!(frame.net_mean(NetworkMetric::LatencyMs).is_empty());
-    }
-
-    #[test]
-    fn frame_round_trips_bit_identically() {
-        let ds = dataset();
-        let frame = SessionFrame::from_dataset(ds, 4);
-        let mut w = serde::bin::Writer::new();
-        frame.encode_bin(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = serde::bin::Reader::new(&bytes);
-        let back = SessionFrame::decode_bin(&mut r).unwrap();
-        assert!(r.is_exhausted());
-        assert_eq!(back.len(), frame.len());
-        for m in NetworkMetric::ALL {
-            let (a, b) = (frame.net_mean(m), back.net_mean(m));
-            assert!(a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()));
-            let (a, b) = (frame.net_p95(m), back.net_p95(m));
-            assert!(a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()));
-        }
-        for m in EngagementMetric::ALL {
-            let (a, b) = (frame.engagement(m), back.engagement(m));
-            assert!(a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()));
-        }
-        assert_eq!(back.platform(), frame.platform());
-        assert_eq!(back.access(), frame.access());
-        assert_eq!(back.date(), frame.date());
-        assert_eq!(back.rating(), frame.rating());
-        assert_eq!(back.ref_mask, frame.ref_mask);
-
-        // Corrupt tag bytes must surface as decode errors, not panics.
-        let mut broken = bytes.clone();
-        let platform_col = 8 + frame.len() * 8 * 11;
-        broken[platform_col] = 0x7F;
-        assert!(SessionFrame::decode_bin(&mut serde::bin::Reader::new(&broken)).is_err());
-    }
-
-    #[test]
-    fn empty_frame_round_trips() {
-        let frame = SessionFrame::default();
-        let mut w = serde::bin::Writer::new();
-        frame.encode_bin(&mut w);
-        let bytes = w.into_bytes();
-        let back = SessionFrame::decode_bin(&mut serde::bin::Reader::new(&bytes)).unwrap();
-        assert!(back.is_empty());
     }
 
     #[test]

@@ -6,12 +6,13 @@
 //! life:
 //!
 //! * **Snapshots** (`snapshot-<seq>.snap`): a versioned, checksummed dump
-//!   of the full service state — the dataset and forum, the columnar
-//!   [`crate::frame::SessionFrame`], the interned
-//!   [`sentiment::corpus::TokenCorpus`] (when built), the accumulated
-//!   health totals, the dead-letter quarantine, and the installed view
-//!   keys. No copy of the signals is written: signal counts are read
-//!   from the recovered generation. Written with the classic atomic
+//!   of the full service state — the session records and the forum, the
+//!   interned [`sentiment::corpus::TokenCorpus`] (when built), the
+//!   accumulated health totals, the dead-letter quarantine, and the
+//!   installed view keys. Nothing derivable from the records is written:
+//!   the columnar [`crate::frame::SessionFrame`] is rebuilt from the
+//!   sessions on first use, and signal counts are read from the recovered
+//!   generation. Written with the classic atomic
 //!   protocol: encode to `snapshot.tmp`, `fsync`, rename into place,
 //!   `fsync` the directory. A reader never observes a half-written
 //!   snapshot; a crash mid-write leaves the previous snapshot untouched.
@@ -35,7 +36,6 @@
 //! the service that never crashed (pinned by `tests/persist_recovery.rs`).
 
 use crate::chunks::Chunks;
-use crate::frame::SessionFrame;
 use crate::ingest::{QuarantineEntry, QuarantineReason};
 use crate::predict::FeatureSet;
 use crate::service::SessionChunks;
@@ -90,14 +90,17 @@ const DIFF_MAGIC: &[u8; 8] = b"USAASDF\x01";
 /// Differential snapshot format version. A reader that does not know the
 /// version skips the diff and falls back to the full snapshot chain.
 const DIFF_VERSION: u32 = 1;
-/// Snapshot format version. v3 drops the signal section that v1 and v2
-/// carried between the corpus and the view keys: a second copy of every
-/// session and post text, which served only the signal counts the
-/// generation now derives. v2 appended the materialized-view key list
-/// ([`crate::views::ViewKey`]). v1 and v2 snapshots still load: their
-/// signal section is validated and discarded, and a v1 snapshot (no key
-/// list) recovers with an empty view set.
-const SNAPSHOT_VERSION: u32 = 3;
+/// Snapshot format version. v4 drops the session-frame section that v1–v3
+/// carried between the posts and the corpus: a columnar projection of the
+/// session records, which the generation rebuilds from them on first use.
+/// v3 dropped the signal section that v1 and v2 carried between the corpus
+/// and the view keys: a second copy of every session and post text, which
+/// served only the signal counts the generation now derives. v2 appended
+/// the materialized-view key list ([`crate::views::ViewKey`]). Every older
+/// snapshot still loads: its frame section is skipped, its signal section
+/// (v1, v2) is validated and discarded, and a v1 snapshot (no key list)
+/// recovers with an empty view set.
+const SNAPSHOT_VERSION: u32 = 4;
 /// Magic leading every journal record frame ("UJRL", little-endian).
 const RECORD_MAGIC: u32 = 0x4C52_4A55;
 /// Bytes of a journal record frame header: magic u32 + len u64 + crc u32.
@@ -146,7 +149,7 @@ impl From<std::io::Error> for PersistError {
 // Append-only — never reorder or reuse a tag.
 // ---------------------------------------------------------------------------
 
-pub(crate) fn platform_tag(p: Platform) -> u8 {
+fn platform_tag(p: Platform) -> u8 {
     match p {
         Platform::WindowsPc => 0,
         Platform::MacPc => 1,
@@ -155,7 +158,7 @@ pub(crate) fn platform_tag(p: Platform) -> u8 {
     }
 }
 
-pub(crate) fn platform_from_tag(tag: u8) -> Result<Platform, bin::Error> {
+fn platform_from_tag(tag: u8) -> Result<Platform, bin::Error> {
     Ok(match tag {
         0 => Platform::WindowsPc,
         1 => Platform::MacPc,
@@ -165,7 +168,7 @@ pub(crate) fn platform_from_tag(tag: u8) -> Result<Platform, bin::Error> {
     })
 }
 
-pub(crate) fn access_tag(a: AccessType) -> u8 {
+fn access_tag(a: AccessType) -> u8 {
     match a {
         AccessType::Fiber => 0,
         AccessType::Cable => 1,
@@ -177,7 +180,7 @@ pub(crate) fn access_tag(a: AccessType) -> u8 {
     }
 }
 
-pub(crate) fn access_from_tag(tag: u8) -> Result<AccessType, bin::Error> {
+fn access_from_tag(tag: u8) -> Result<AccessType, bin::Error> {
     Ok(match tag {
         0 => AccessType::Fiber,
         1 => AccessType::Cable,
@@ -713,7 +716,6 @@ pub(crate) struct SnapshotContents<'a> {
     pub(crate) journal_seq: u64,
     pub(crate) sessions: &'a SessionChunks,
     pub(crate) posts: &'a Chunks<Post>,
-    pub(crate) frame: &'a SessionFrame,
     pub(crate) corpus: Option<&'a TokenCorpus>,
     pub(crate) health: &'a PersistedHealth,
     /// Keys of the materialized views installed at checkpoint time, in
@@ -727,7 +729,6 @@ pub(crate) struct SnapshotState {
     pub(crate) journal_seq: u64,
     pub(crate) sessions: Vec<SessionRecord>,
     pub(crate) posts: Vec<Post>,
-    pub(crate) frame: SessionFrame,
     pub(crate) corpus: Option<TokenCorpus>,
     pub(crate) health: PersistedHealth,
     pub(crate) view_keys: Vec<ViewKey>,
@@ -746,7 +747,6 @@ fn encode_snapshot(c: &SnapshotContents<'_>) -> Vec<u8> {
     for p in c.posts.iter() {
         put_post(&mut w, p);
     }
-    c.frame.encode_bin(&mut w);
     match c.corpus {
         None => w.put_u8(0),
         Some(corpus) => {
@@ -776,9 +776,8 @@ fn decode_snapshot(payload: &[u8], version: u32) -> Result<SnapshotState, bin::E
     for _ in 0..n_posts {
         posts.push(get_post(&mut r)?);
     }
-    let frame = SessionFrame::decode_bin(&mut r)?;
-    if frame.len() != sessions.len() {
-        return Err(bin::Error::Corrupt("frame length disagrees with sessions"));
+    if version < 4 {
+        skip_legacy_frame(&mut r, sessions.len())?;
     }
     let corpus = match r.get_u8()? {
         0 => None,
@@ -803,11 +802,40 @@ fn decode_snapshot(payload: &[u8], version: u32) -> Result<SnapshotState, bin::E
         journal_seq,
         sessions,
         posts,
-        frame,
         corpus,
         health,
         view_keys,
     })
+}
+
+/// Bytes of one session row in the frame section of a v1–v3 snapshot:
+/// eleven `f64` columns, the platform and access tags, the `i32` date and
+/// the rating byte.
+const LEGACY_FRAME_ROW: u64 = 11 * 8 + 1 + 1 + 4 + 1;
+
+/// Step over the frame section of a v1–v3 snapshot: the row count, 95
+/// bytes per row, then the reference-mask blob (`u64` length, one byte per
+/// row) — 96·rows + 16 bytes in all. The size is checked against the bytes
+/// left before anything is skipped, and nothing is allocated from it.
+fn skip_legacy_frame(r: &mut Reader<'_>, sessions: usize) -> Result<(), bin::Error> {
+    let rows = r.get_u64()?;
+    let size = rows
+        .checked_mul(LEGACY_FRAME_ROW + 1)
+        .and_then(|n| n.checked_add(8))
+        .ok_or(bin::Error::Corrupt("frame length overflows"))?;
+    if size > r.remaining() as u64 {
+        return Err(bin::Error::Corrupt("frame length exceeds remaining input"));
+    }
+    if rows != sessions as u64 {
+        return Err(bin::Error::Corrupt("frame length disagrees with sessions"));
+    }
+    r.skip((rows * LEGACY_FRAME_ROW) as usize)?;
+    if r.get_bytes()?.len() != sessions {
+        return Err(bin::Error::Corrupt(
+            "ref-mask column length disagrees with frame length",
+        ));
+    }
+    Ok(())
 }
 
 /// Walk the signal section of a v1/v2 snapshot — a per-day copy of every
@@ -949,8 +977,9 @@ fn load_snapshot(path: &Path) -> Result<SnapshotState, PersistError> {
         detail,
     };
     let bytes = fs::read(path)?;
-    // v1 and v2 readable for upgrade-in-place: their signal section is
-    // skipped, and v1's missing view-key tail decodes to an empty view set.
+    // v1–v3 readable for upgrade-in-place: their frame section (and v1/v2's
+    // signal section) is skipped, and v1's missing view-key tail decodes
+    // to an empty view set.
     let (version, payload) =
         unframe_file(SNAPSHOT_MAGIC, "snapshot", 1..=SNAPSHOT_VERSION, &bytes).map_err(corrupt)?;
     decode_snapshot(payload, version).map_err(|e| corrupt(e.to_string()))
@@ -959,15 +988,14 @@ fn load_snapshot(path: &Path) -> Result<SnapshotState, PersistError> {
 // ---------------------------------------------------------------------------
 // Differential snapshots.
 //
-// All persisted state grows append-only — sessions, posts, and every frame
-// column only ever extend, and the health/view-key bits are small. So the
-// dirty range since the last full snapshot is a *suffix* per column, and a
-// differential checkpoint writes exactly that: the session and post tails
-// past the base full snapshot's watermarks, plus the (small) full health
-// and view-key list. Applying a diff re-derives the rest the same way
-// journal replay does: the frame extends from the session tail
-// (bit-identical to a rebuild — the frame-extension invariant), and the
-// corpus extends from the post tail (id-stable). The journal is never
+// All persisted state grows append-only — sessions and posts only ever
+// extend, and the health/view-key bits are small. So the dirty range since
+// the last full snapshot is a *suffix* of each, and a differential
+// checkpoint writes exactly that: the session and post tails past the base
+// full snapshot's watermarks, plus the (small) full health and view-key
+// list. Applying a diff re-derives the rest the same way journal replay
+// does: the corpus extends from the post tail (id-stable), and the frame
+// is rebuilt from the sessions on first use. The journal is never
 // truncated by a diff, so a diff that fails to apply — missing or corrupt
 // base, unknown version, watermark mismatch — degrades to the
 // full-snapshot chain plus journal replay, never to data loss.
@@ -1125,9 +1153,7 @@ fn load_diff(path: &Path) -> Result<DiffState, PersistError> {
 }
 
 /// Apply a decoded diff on top of its base full snapshot, re-deriving the
-/// frame and corpus exactly as journal replay would: the frame extends
-/// from the session tail (bit-identical to a rebuild over the
-/// concatenated dataset), and the corpus — when the base carried one —
+/// corpus exactly as journal replay would: when the base carried one, it
 /// extends from the post tail (extension preserves existing token ids).
 /// Errors when the base does not match the watermarks the diff was
 /// encoded against.
@@ -1156,8 +1182,6 @@ fn apply_diff(
         )));
     }
 
-    base.frame
-        .extend_from_sessions(&diff.sessions_tail, workers);
     if let Some(corpus) = &mut base.corpus {
         let posts_tail = &diff.posts_tail;
         corpus.extend_with(posts_tail.len(), workers, |i, emit| {
@@ -2235,12 +2259,6 @@ mod tests {
         let dir = tmp_dir("payload-flip");
         let sessions = SessionChunks::from_vec(sample_sessions(12));
         let posts = Chunks::from_vec(sample_posts());
-        let frame = SessionFrame::from_dataset(
-            &conference::records::CallDataset {
-                sessions: sessions.to_vec(),
-            },
-            1,
-        );
         let health = PersistedHealth::default();
         let full = write_snapshot(
             &dir,
@@ -2249,7 +2267,6 @@ mod tests {
                 journal_seq: 1,
                 sessions: &sessions,
                 posts: &posts,
-                frame: &frame,
                 corpus: None,
                 health: &health,
                 view_keys: &[],
@@ -2317,12 +2334,6 @@ mod tests {
         let dir = tmp_dir("snapshot-roundtrip");
         let sessions = sample_sessions(30);
         let posts = sample_posts();
-        let frame = SessionFrame::from_dataset(
-            &conference::records::CallDataset {
-                sessions: sessions.clone(),
-            },
-            2,
-        );
         let health = PersistedHealth {
             quarantined: 2,
             unfed: 1,
@@ -2356,7 +2367,6 @@ mod tests {
             journal_seq: 9,
             sessions: &session_chunks,
             posts: &post_chunks,
-            frame: &frame,
             corpus: None,
             health: &health,
             view_keys: &view_keys,
@@ -2370,7 +2380,6 @@ mod tests {
         assert_eq!(state.journal_seq, 9);
         assert_eq!(state.sessions, sessions);
         assert_eq!(state.posts, posts);
-        assert_eq!(state.frame.len(), frame.len());
         assert_eq!(state.health.dead_letters, health.dead_letters);
         assert_eq!(state.health.open_breakers, health.open_breakers);
         assert_eq!(state.view_keys, view_keys);
@@ -2408,12 +2417,6 @@ mod tests {
         let posts = sample_posts();
         let n = posts.len();
         assert!(n > 20, "the sample forum spans several chunks");
-        let frame = SessionFrame::from_dataset(
-            &conference::records::CallDataset {
-                sessions: sessions.clone(),
-            },
-            1,
-        );
         let health = PersistedHealth::default();
         let session_chunks = SessionChunks::from_vec(sessions);
         let flat = Chunks::from_vec(posts.clone());
@@ -2426,7 +2429,6 @@ mod tests {
                 journal_seq: 7,
                 sessions: &session_chunks,
                 posts,
-                frame: &frame,
                 corpus: None,
                 health: &health,
                 view_keys: &[ViewKey::Outage],
@@ -2466,12 +2468,6 @@ mod tests {
     fn snapshot_retention_keeps_the_last_two() {
         let dir = tmp_dir("snapshot-retention");
         let sessions = sample_sessions(5);
-        let frame = SessionFrame::from_dataset(
-            &conference::records::CallDataset {
-                sessions: sessions.clone(),
-            },
-            1,
-        );
         let health = PersistedHealth::default();
         let session_chunks = SessionChunks::from_vec(sessions);
         for seq in [1u64, 2, 3, 4] {
@@ -2482,7 +2478,6 @@ mod tests {
                     journal_seq: seq,
                     sessions: &session_chunks,
                     posts: &Chunks::default(),
-                    frame: &frame,
                     corpus: None,
                     health: &health,
                     view_keys: &[],
@@ -2497,6 +2492,9 @@ mod tests {
     /// A v2 full snapshot (with the signal section v3 dropped), written by
     /// the v2 encoder as the `checkpoint_full` of [`fixture_service`].
     const V2_FIXTURE: &[u8] = include_bytes!("../../../tests/fixtures/snapshot-v2.snap");
+    /// The same snapshot written by the v3 encoder (with the frame section
+    /// v4 dropped).
+    const V3_FIXTURE: &[u8] = include_bytes!("../../../tests/fixtures/snapshot-v3.snap");
 
     /// The queries whose views [`fixture_service`] installs.
     fn fixture_queries() -> Vec<crate::service::Query> {
@@ -2512,7 +2510,8 @@ mod tests {
         ]
     }
 
-    /// The tiny persisted service behind [`V2_FIXTURE`]: 16 sessions (one
+    /// The tiny persisted service behind [`V2_FIXTURE`] and [`V3_FIXTURE`]:
+    /// 16 sessions (one
     /// rated) and a two-day forum, three views installed, then one append
     /// of a poison pill, 8 sessions and 3 posts, then a full checkpoint
     /// (`snapshot-1.snap`).
@@ -2550,12 +2549,6 @@ mod tests {
         svc
     }
 
-    fn frame_bytes(frame: &SessionFrame) -> Vec<u8> {
-        let mut w = Writer::new();
-        frame.encode_bin(&mut w);
-        w.into_bytes()
-    }
-
     fn corpus_bytes(corpus: Option<&TokenCorpus>) -> Option<Vec<u8>> {
         corpus.map(|c| {
             let mut w = Writer::new();
@@ -2564,25 +2557,26 @@ mod tests {
         })
     }
 
-    #[test]
-    fn v2_fixture_loads_like_the_service_that_wrote_it() {
-        assert!(V2_FIXTURE.len() <= 64 << 10);
-        assert_eq!(&V2_FIXTURE[..8], SNAPSHOT_MAGIC);
-        assert_eq!(u32::from_le_bytes(V2_FIXTURE[8..12].try_into().unwrap()), 2);
-        let legacy = decode_snapshot(&V2_FIXTURE[24..], 2).unwrap();
+    /// Decode the committed `fixture`, a full snapshot of `version`, and
+    /// check it against [`fixture_service`] rebuilt now and its fresh
+    /// snapshot; then recover a service from the fixture alone and check
+    /// it answers like the writer.
+    fn check_fixture_loads_like_its_writer(fixture: &[u8], version: u32) {
+        assert!(fixture.len() <= 64 << 10);
+        assert_eq!(&fixture[..8], SNAPSHOT_MAGIC);
+        assert_eq!(
+            u32::from_le_bytes(fixture[8..12].try_into().unwrap()),
+            version
+        );
+        let legacy = decode_snapshot(&fixture[24..], version).unwrap();
 
-        let dir = tmp_dir("v2-fixture-writer");
+        let dir = tmp_dir(&format!("v{version}-fixture-writer"));
         let svc = fixture_service(&dir);
         let fresh = load_snapshot(&snapshot_path(&dir, 1)).unwrap();
         assert_eq!(legacy.epoch, fresh.epoch);
         assert_eq!(legacy.journal_seq, fresh.journal_seq);
         assert_eq!(legacy.sessions, fresh.sessions);
         assert_eq!(legacy.posts, fresh.posts);
-        assert_eq!(
-            frame_bytes(&legacy.frame),
-            frame_bytes(svc.snapshot().frame())
-        );
-        assert_eq!(frame_bytes(&legacy.frame), frame_bytes(&fresh.frame));
         assert!(legacy.corpus.is_some(), "the outage view built the corpus");
         assert_eq!(
             corpus_bytes(legacy.corpus.as_ref()),
@@ -2596,14 +2590,16 @@ mod tests {
         assert_eq!(legacy.health.dead_letters, fresh.health.dead_letters);
         assert_eq!(legacy.view_keys, svc.snapshot().views().keys());
         assert_eq!(legacy.view_keys, fresh.view_keys);
-        // v3 is the v2 payload without its signal section.
-        let v3_len = fs::metadata(snapshot_path(&dir, 1)).unwrap().len();
-        assert!(v3_len < V2_FIXTURE.len() as u64, "{v3_len}");
+        // v4 is the legacy payload without its frame section (and, for v2,
+        // its signal section).
+        let v4_len = fs::metadata(snapshot_path(&dir, 1)).unwrap().len();
+        assert!(v4_len < fixture.len() as u64, "{v4_len}");
 
         // Recovering from the fixture alone gives the writer's counts:
-        // (24, 1, 71) is what its signal store held.
-        let only = tmp_dir("v2-fixture-open");
-        fs::write(snapshot_path(&only, 1), V2_FIXTURE).unwrap();
+        // (24, 1, 71) is what the v2 writer's signal store held. The curve
+        // and MOS answers read the frame the recovered generation rebuilt.
+        let only = tmp_dir(&format!("v{version}-fixture-open"));
+        fs::write(snapshot_path(&only, 1), fixture).unwrap();
         let recovered = crate::service::UsaasService::open_or_recover(&only, 2).unwrap();
         assert!(recovered.health().recovery_warnings.is_empty());
         assert_eq!(recovered.signal_counts(), (24, 1, 71));
@@ -2621,16 +2617,83 @@ mod tests {
         let _ = fs::remove_dir_all(&only);
     }
 
-    /// The v2 fixture's payload and a fresh v3 payload of the same
+    #[test]
+    fn v2_fixture_loads_like_the_service_that_wrote_it() {
+        check_fixture_loads_like_its_writer(V2_FIXTURE, 2);
+    }
+
+    #[test]
+    fn v3_fixture_loads_like_the_service_that_wrote_it() {
+        check_fixture_loads_like_its_writer(V3_FIXTURE, 3);
+    }
+
+    #[test]
+    fn a_v1_payload_loads_with_no_view_keys() {
+        // A v1 payload is the v2 payload without its trailing key list.
+        let v2 = decode_snapshot(&V2_FIXTURE[24..], 2).unwrap();
+        let mut keys = Writer::new();
+        keys.put_u64(v2.view_keys.len() as u64);
+        for &key in &v2.view_keys {
+            put_view_key(&mut keys, key);
+        }
+        let v1 = decode_snapshot(&V2_FIXTURE[24..V2_FIXTURE.len() - keys.len()], 1).unwrap();
+        assert!(v1.view_keys.is_empty());
+        assert_eq!(v1.sessions, v2.sessions);
+        assert_eq!(v1.posts, v2.posts);
+    }
+
+    /// Offset of the frame section's row count in a v1–v3 payload: just
+    /// past the health, the sessions and the posts.
+    fn legacy_frame_offset(payload: &[u8]) -> usize {
+        let mut r = Reader::new(payload);
+        r.get_u64().unwrap();
+        r.get_u64().unwrap();
+        PersistedHealth::decode(&mut r).unwrap();
+        for _ in 0..r.get_len().unwrap() {
+            get_session(&mut r).unwrap();
+        }
+        for _ in 0..r.get_len().unwrap() {
+            get_post(&mut r).unwrap();
+        }
+        payload.len() - r.remaining()
+    }
+
+    #[test]
+    fn a_bad_legacy_frame_length_errs_without_allocating() {
+        for (fixture, version) in [(V2_FIXTURE, 2), (V3_FIXTURE, 3)] {
+            let payload = &fixture[24..];
+            let at = legacy_frame_offset(payload);
+            assert_eq!(payload[at..at + 8], 24u64.to_le_bytes(), "v{version}");
+            for (rows, error) in [
+                (u64::MAX, "frame length overflows"),
+                (1 << 40, "frame length exceeds remaining input"),
+                (23, "frame length disagrees with sessions"),
+            ] {
+                let mut patched = payload.to_vec();
+                patched[at..at + 8].copy_from_slice(&rows.to_le_bytes());
+                assert_eq!(
+                    decode_snapshot(&patched, version).err(),
+                    Some(bin::Error::Corrupt(error)),
+                    "v{version} rows {rows}"
+                );
+            }
+        }
+    }
+
+    /// The v2 and v3 fixtures' payloads and a fresh v4 payload of the same
     /// service, each with the version it decodes as.
     fn damaged_payload_bases() -> &'static [(Vec<u8>, u32)] {
         static BASES: std::sync::OnceLock<Vec<(Vec<u8>, u32)>> = std::sync::OnceLock::new();
         BASES.get_or_init(|| {
             let dir = tmp_dir("damaged-payload-bases");
             fixture_service(&dir);
-            let v3 = fs::read(snapshot_path(&dir, 1)).unwrap();
+            let v4 = fs::read(snapshot_path(&dir, 1)).unwrap();
             let _ = fs::remove_dir_all(&dir);
-            vec![(V2_FIXTURE[24..].to_vec(), 2), (v3[24..].to_vec(), 3)]
+            vec![
+                (V2_FIXTURE[24..].to_vec(), 2),
+                (V3_FIXTURE[24..].to_vec(), 3),
+                (v4[24..].to_vec(), 4),
+            ]
         })
     }
 

@@ -312,13 +312,14 @@ pub struct Generation {
     /// generation's range folded with the batch's post dates at commit, so
     /// views and finishing passes never rescan the forum for it.
     date_range: Option<(Date, Date)>,
-    /// Columnar mirror of the session chunks, materialised lazily on the
-    /// first query that actually scans columns. Commits never build it:
-    /// view-backed answers finish carried accumulators fed straight from
-    /// the delta records, so the steady-state append+hot-query path stays
-    /// O(delta) instead of paying an O(corpus) column copy per epoch. The
-    /// build-time and recovered generations pre-fill the cell (their frame
-    /// already exists), so cold full-scan queries there pay nothing extra.
+    /// Columnar mirror of the session chunks, materialised lazily by
+    /// [`Generation::frame`] on the first query that actually scans
+    /// columns — the only place a generation gets one. Builds, commits,
+    /// recovery and checkpoints never touch it: view-backed answers finish
+    /// carried accumulators fed straight from the delta records, so the
+    /// steady-state append+hot-query path stays O(delta) instead of paying
+    /// an O(corpus) column copy per epoch, and snapshots store only the
+    /// session records the frame is derived from.
     frame: OnceLock<SessionFrame>,
     /// Worker-thread budget; frame aggregation and corpus builds reuse it.
     workers: usize,
@@ -375,10 +376,11 @@ impl Generation {
     }
 
     /// The columnar session frame, materialised from the session chunks on
-    /// first use. Chunks are appended in commit order and
-    /// `extend_from_sessions` preserves record order, so the lazy build is
-    /// bit-identical to materialising eagerly at every commit (asserted by
-    /// the service tests and the parity suite).
+    /// first use; no other path builds, stores or restores one. Chunks are
+    /// appended in commit order and `extend_from_sessions` preserves record
+    /// order, so the lazy build is bit-identical to materialising eagerly
+    /// at every commit (asserted by the service tests and the parity
+    /// suite).
     pub fn frame(&self) -> &SessionFrame {
         self.frame.get_or_init(|| {
             let mut frame = SessionFrame::with_capacity(self.sessions.len());
@@ -935,10 +937,9 @@ pub struct UsaasService {
 
 impl UsaasService {
     /// Build the service: the dataset and forum become the epoch-0
-    /// generation, and the columnar session frame is materialised on
-    /// `workers` threads.
+    /// generation. Its columnar session frame is materialised on `workers`
+    /// threads by the first query that scans it.
     pub fn build(dataset: CallDataset, forum: Forum, workers: usize) -> UsaasService {
-        let frame = SessionFrame::from_dataset(&dataset, workers);
         let date_range = forum.date_range();
         let generation = Generation::new(
             0,
@@ -949,9 +950,6 @@ impl UsaasService {
             OnceLock::new(),
             ViewSet::default(),
         );
-        // The build-time frame is materialised eagerly (it is needed by the
-        // first cold query anyway) and pre-fills the lazy cell.
-        let _ = generation.frame.set(frame);
         UsaasService {
             current: RwLock::new(Arc::new(generation)),
             workers,
@@ -1031,9 +1029,6 @@ impl UsaasService {
             corpus_cell,
             ViewSet::default(),
         );
-        // The snapshot carries the frame; pre-fill the lazy cell so queries
-        // on the recovered generation never re-materialise it.
-        let _ = generation.frame.set(state.frame);
         let svc = UsaasService {
             current: RwLock::new(Arc::new(generation)),
             workers,
@@ -1212,7 +1207,6 @@ impl UsaasService {
                 journal_seq: state.last_seq,
                 sessions: &generation.sessions,
                 posts: &generation.forum,
-                frame: generation.frame(),
                 corpus: generation.social_corpus.get().map(Arc::as_ref),
                 health,
                 view_keys,
@@ -1418,10 +1412,10 @@ impl UsaasService {
     /// Workers normalise every item (catching poison pills) while queries
     /// racing the append keep serving their pinned snapshot. Once the run
     /// finishes, accepted items are folded into a successor generation
-    /// (frame extended with delta columns, corpus grown incrementally when
-    /// already built) whose fresh answer cache makes subsequent queries
-    /// see the appended data. Quarantined or unfed items and open breakers
-    /// are accumulated into [`UsaasService::health`].
+    /// (session and post chunks appended, views advanced, corpus grown
+    /// incrementally when already built) whose fresh answer cache makes
+    /// subsequent queries see the appended data. Quarantined or unfed items
+    /// and open breakers are accumulated into [`UsaasService::health`].
     /// On a persisted service, the run is journaled **before** the
     /// in-memory commit — one durable record carrying the accepted items,
     /// the quarantined dead-letters, and the health deltas — so a crash at
