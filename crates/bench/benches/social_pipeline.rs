@@ -224,6 +224,18 @@ fn bench_emerging_topics(c: &mut Criterion) {
     group.bench_function("mine", |b| {
         b.iter(|| black_box(miner.mine(black_box(&forum)).expect("topics")));
     });
+    // The mining core alone: `mine` above also tokenizes the forum on
+    // every iteration.
+    let corpus = forum.token_corpus(1);
+    group.bench_function("mine_interned", |b| {
+        b.iter(|| {
+            black_box(
+                miner
+                    .mine_interned(black_box(&forum), &corpus)
+                    .expect("topics"),
+            )
+        });
+    });
     group.finish();
 }
 

@@ -26,7 +26,9 @@
 use crate::annotate::{strong_countries, PeakAnnotator, SentimentSeries, CLOUD_WORDS};
 use crate::cache::MemoCache;
 use crate::correlate;
-use crate::emerging::{sort_detections, EmergingTopic, EmergingTopicMiner};
+use crate::emerging::{
+    sort_detections, DayTally, EmergingTopic, EmergingTopicMiner, Slide, TermWeights,
+};
 use crate::fulcrum::{DocShot, FulcrumAnalysis};
 use crate::ingest::{self, IngestConfig, IngestReport, QuarantineEntry};
 use crate::outage::{DetectedOutage, OutageDetector};
@@ -676,24 +678,34 @@ impl ClusterSnapshot {
 
     /// §4.1 emerging topics. Partitions ship per-day engagement-weighted
     /// word tables (integer-valued weights — additive merges are exact);
-    /// the router replays the miner's sliding window over the merged
+    /// the router slides the miner's window ([`Slide`]) over the merged
     /// tables, then scatters the polarity scan for flagged terms back to
     /// the partitions and averages in global post order.
     fn emerging_topics(&self) -> Result<Answer, UsaasError> {
         let miner = EmergingTopicMiner::default();
+        miner.check()?;
         type DayTerms = BTreeMap<i32, HashMap<String, f64>>;
         let parts: Vec<(Option<(Date, Date)>, DayTerms)> = scatter(&self.parts, |_, g| {
             let corpus = g.social_corpus();
-            let vocab = corpus.vocab();
-            let mut days: DayTerms = BTreeMap::new();
+            let mut days: BTreeMap<i32, IdNgramCounts> = BTreeMap::new();
             for (i, p) in g.forum().iter().enumerate() {
-                let mut counts = IdNgramCounts::new();
-                counts.add_unigrams(corpus, i, p.engagement_weight());
-                let day = days.entry(p.date.days()).or_default();
-                for (id, w) in counts.iter_unigrams() {
-                    *day.entry(vocab.word(id).to_string()).or_insert(0.0) += w;
-                }
+                days.entry(p.date.days()).or_default().add_unigrams(
+                    corpus,
+                    i,
+                    p.engagement_weight(),
+                );
             }
+            let vocab = corpus.vocab();
+            let days = days
+                .into_iter()
+                .map(|(day, counts)| {
+                    let terms = counts
+                        .iter_unigrams()
+                        .map(|(id, w)| (vocab.word(id).to_string(), w))
+                        .collect();
+                    (day, terms)
+                })
+                .collect();
             (g.date_range(), days)
         });
         let (start, end) = merged_range(parts.iter().map(|p| p.0))
@@ -707,49 +719,31 @@ impl ClusterSnapshot {
                 }
             }
         }
-        /// Share floor: the share a never-seen term is treated as having had.
-        const SHARE_FLOOR: f64 = 0.002;
-        let sum_days = |from: Date, to: Date| -> HashMap<String, f64> {
-            let mut out: HashMap<String, f64> = HashMap::new();
-            for (_, terms) in day_terms.range(from.days()..=to.days()) {
-                for (term, w) in terms {
-                    *out.entry(term.clone()).or_insert(0.0) += w;
-                }
-            }
-            out
+        // Each day's table is taken exactly once: by the history pre-load
+        // or when the day enters the window.
+        let mut take_day = |day: Date| -> DayTally<String> {
+            day_terms
+                .remove(&day.days())
+                .unwrap_or_default()
+                .into_iter()
+                .collect()
         };
-        let mut history: HashMap<String, f64> = HashMap::new();
-        let mut history_total = 0.0f64;
+        let mut history = TermWeights::default();
+        let cursor = start.offset(miner.window_days);
+        for day in start.iter_through(cursor.offset(-1)) {
+            history.add(&take_day(day));
+        }
         let mut detected: HashSet<String> = HashSet::new();
         // (term, window start, window end, weight, novelty) per first flag.
         let mut flagged: Vec<(String, Date, Date, f64, f64)> = Vec::new();
-        let mut cursor = start.offset(miner.window_days);
-        for (term, w) in sum_days(start, cursor.offset(-1)) {
-            *history.entry(term).or_insert(0.0) += w;
-            history_total += w;
-        }
-        while cursor.offset(miner.window_days - 1) <= end {
-            let win_start = cursor;
-            let win_end = cursor.offset(miner.window_days - 1);
-            let counts = sum_days(win_start, win_end);
-            let window_total: f64 = counts.values().sum::<f64>().max(1.0);
-            for (term, &weight) in &counts {
-                if weight < miner.min_weight || detected.contains(term) {
-                    continue;
-                }
-                let hist_share = history.get(term).copied().unwrap_or(0.0) / history_total.max(1.0);
-                let window_share = weight / window_total;
-                let novelty = window_share / (hist_share + SHARE_FLOOR);
-                if novelty >= miner.min_novelty {
-                    detected.insert(term.clone());
-                    flagged.push((term.clone(), win_start, win_end, weight, novelty));
-                }
+        let mut slide = Slide::new(&miner, &mut history, cursor, end);
+        while let Some((win_start, win_end, flags)) =
+            slide.next_window(&mut take_day, |term| detected.contains(term))
+        {
+            for flag in flags {
+                detected.insert(flag.term.clone());
+                flagged.push((flag.term, win_start, win_end, flag.weight, flag.novelty));
             }
-            for (term, w) in sum_days(win_start, win_start.offset(miner.step_days - 1)) {
-                *history.entry(term).or_insert(0.0) += w;
-                history_total += w;
-            }
-            cursor = cursor.offset(miner.step_days);
         }
         // Polarity scan for the flagged terms, back at the partitions.
         let flagged = &flagged;

@@ -101,11 +101,12 @@ pub fn annotate(
 }
 
 /// Mine the corpus; returns the first detection per term, ordered by flag
-/// date.
+/// date. Counts every window afresh from the post texts.
 pub fn mine(
     miner: &EmergingTopicMiner,
     forum: &Forum,
 ) -> Result<Vec<EmergingTopic>, AnalyticsError> {
+    miner.check()?;
     let (start, end) = forum.date_range().ok_or(AnalyticsError::Empty)?;
     let analyzer = SentimentAnalyzer::default();
     // Historical cumulative engagement weight per term and in total.

@@ -12,10 +12,10 @@
 //! forum across worker counts 1/4, plus empty/unicode/apostrophe edges and
 //! a property sweep over arbitrary text.
 //!
-//! One caveat, pinned here rather than papered over: `EmergingTopicMiner`
-//! drains its detections from a `HashMap`, so same-day flags come back in
-//! unspecified relative order in *both* paths — the miner comparison
-//! sorts by `(date, term)` first. Every value is still compared exactly.
+//! `EmergingTopicMiner` and its string oracle both order detections by
+//! `(date, term)` (`sort_detections`), so same-day flags come back in the
+//! same order on both paths; the miner comparison still sorts by that key
+//! first, which is then a no-op. Every value is compared exactly.
 
 use analytics::time::{Date, Month};
 use sentiment::analyzer::STRONG_THRESHOLD;
