@@ -75,36 +75,39 @@ where
     )
 }
 
-/// The spawn machinery behind [`par_map_ranges`], over explicit ranges:
-/// one scoped thread per range (a single range runs inline), results in
-/// range order. Tests use it to pin the multi-chunk path regardless of how
-/// many cores the machine has.
+/// The spawn machinery behind [`par_map_ranges`], over owned items: one
+/// scoped thread per item (a single item runs inline), results in item
+/// order. Ranges are one kind of item; tests pass explicit ranges to pin
+/// the multi-chunk path regardless of how many cores the machine has, and
+/// callers that need exactly one thread per item (a partition each, say)
+/// pass the items themselves.
 ///
 /// # Panics
 ///
 /// Re-raises the original panic of any worker that died.
-pub fn par_map_on<T, F>(ranges: Vec<Range<usize>>, f: F) -> Vec<T>
+pub fn par_map_on<I, T, F>(items: Vec<I>, f: F) -> Vec<T>
 where
+    I: Send,
     T: Send,
-    F: Fn(Range<usize>) -> T + Sync,
+    F: Fn(I) -> T + Sync,
 {
-    if ranges.len() <= 1 {
-        return ranges.into_iter().map(f).collect();
+    if items.len() <= 1 {
+        return items.into_iter().map(f).collect();
     }
     let mut slots: Vec<Option<T>> = Vec::new();
-    slots.resize_with(ranges.len(), || None);
+    slots.resize_with(items.len(), || None);
     crossbeam::thread::scope(|scope| {
-        for (slot, range) in slots.iter_mut().zip(ranges) {
+        for (slot, item) in slots.iter_mut().zip(items) {
             let f = &f;
             scope.spawn(move |_| {
-                *slot = Some(f(range));
+                *slot = Some(f(item));
             });
         }
     })
     .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
     slots
         .into_iter()
-        .map(|slot| slot.expect("every chunk worker fills its slot"))
+        .map(|slot| slot.expect("every worker fills its slot"))
         .collect()
 }
 

@@ -14,7 +14,7 @@
 //! global-order columns through the order maps recorded at split time, and
 //! then replays the exact sequential kernels and finishing passes the
 //! single service runs ([`kernels::masked_binned_sum_count`],
-//! [`correlate::grid_from_sums`], [`correlate::mos_correlations_vals`], …).
+//! `correlate::grid_from_sums`, `correlate::mos_correlations_vals`, …).
 //! Cross-partition map merges (§4 text scans) are additive only where the
 //! addends are integer-valued (engagement weights, day counts, keyword
 //! hits), where f64 addition is exact and therefore order-free. The
@@ -32,17 +32,19 @@ use crate::emerging::{
 use crate::fulcrum::{DocShot, FulcrumAnalysis};
 use crate::ingest::{self, IngestConfig, IngestReport, QuarantineEntry};
 use crate::outage::{DetectedOutage, OutageDetector};
+#[cfg(test)]
+use crate::persist::Journal;
 use crate::persist::{
-    cluster_snapshot_seqs, compact_journal_file, load_latest_cluster_snapshot,
-    read_and_repair_journal, snapshot_seqs, write_cluster_snapshot, ClusterSnapContents,
-    CompactionReport, Journal, JournalRecord, JournalStats, PersistError, JOURNAL_FILE,
+    cluster_snapshot_seqs, load_latest_cluster_snapshot, read_and_repair_journal, snapshot_seqs,
+    write_cluster_snapshot, ClusterSnapContents, CompactionReport, JournalStats, PersistError, Wal,
+    JOURNAL_FILE,
 };
 use crate::predict;
 use crate::service::{
-    merged_range, Answer, BoundedLog, CrossNetworkReport, Generation, Query, QueryKey,
-    ServiceHealth, UsaasError, UsaasService, DEAD_LETTER_CAP, RECOVERY_WARNING_CAP,
+    merged_range, trusted_sources, Answer, CrossNetworkReport, Generation, HealthTotals, Query,
+    QueryKey, ServiceHealth, UsaasError, UsaasService,
 };
-use crate::source::{ItemSource, RawItem, Source};
+use crate::source::{RawItem, Source};
 use crate::views::{regional_demand, SentimentView, View, ViewKey};
 use analytics::binning::{BinSpec, SumBinner};
 use analytics::time::Date;
@@ -793,36 +795,6 @@ impl ClusterSnapshot {
     }
 }
 
-/// Router-side health totals: ingest damage the cluster log recorded plus
-/// anything cluster recovery had to repair. Partition-side totals live in
-/// the partitions and are aggregated on demand by
-/// [`PartitionedService::health`].
-#[derive(Debug)]
-struct RouterTotals {
-    quarantined: usize,
-    unfed: usize,
-    breaker_trips: usize,
-    open_breakers: Vec<String>,
-    /// Bounded ring of the most recent router-side dead letters; the
-    /// `quarantined` total stays exact while old entries are evicted.
-    dead_letters: BoundedLog<QuarantineEntry>,
-    /// Bounded ring of the most recent router-side recovery warnings.
-    recovery_warnings: BoundedLog<String>,
-}
-
-impl Default for RouterTotals {
-    fn default() -> RouterTotals {
-        RouterTotals {
-            quarantined: 0,
-            unfed: 0,
-            breaker_trips: 0,
-            open_breakers: Vec::new(),
-            dead_letters: BoundedLog::new(DEAD_LETTER_CAP),
-            recovery_warnings: BoundedLog::new(RECOVERY_WARNING_CAP),
-        }
-    }
-}
-
 /// Aggregated cluster health: the per-partition [`ServiceHealth`] reports
 /// plus router-level totals, so a degraded partition is never silently
 /// dropped from the cluster's health signal.
@@ -878,14 +850,8 @@ impl ClusterHealth {
 /// bookkeeping [`PartitionedService::compact_root_log`] needs to drop the
 /// log's absorbed prefix safely.
 struct ClusterPersist {
-    dir: PathBuf,
-    journal: Journal,
-    last_seq: u64,
-    /// Records currently live in the cluster log.
-    live_records: u64,
-    /// Seq of the oldest record in the cluster log (0 when the live prefix
-    /// was fully compacted away and nothing has been appended since).
-    oldest_live_seq: u64,
+    /// The cluster log, in the cluster directory's root.
+    wal: Wal,
     /// One entry per live record, in seq order: `(seq, per-partition
     /// non-empty flags)`. The flags are what
     /// [`PartitionedService::compact_root_log`] folds to decide how many
@@ -895,10 +861,6 @@ struct ClusterPersist {
     /// ledger entry — the indexing origin compaction advances as it drops
     /// records.
     base_count: Vec<u64>,
-    /// Root-log compaction passes that actually dropped records.
-    compactions: u64,
-    /// Root-log records dropped across all compaction passes.
-    records_compacted: u64,
 }
 
 /// A consistent-hash sharded [`UsaasService`] cluster behind a merging
@@ -914,7 +876,11 @@ pub struct PartitionedService {
     workers: usize,
     current: RwLock<Arc<ClusterSnapshot>>,
     append_lock: Mutex<()>,
-    totals: Mutex<RouterTotals>,
+    /// Router-side health: ingest damage the cluster log recorded plus
+    /// anything cluster recovery had to repair. Partition-side totals live
+    /// in the partitions and are aggregated on demand by
+    /// [`PartitionedService::health`].
+    totals: Mutex<HealthTotals>,
     persist: Option<Mutex<ClusterPersist>>,
 }
 
@@ -955,18 +921,14 @@ impl PartitionedService {
         }
         let ring = HashRing::new(partitions);
         write_meta(dir, ring.partitions())?;
-        let mut journal = Journal::open_append(&dir.join(JOURNAL_FILE))?;
+        let mut wal = Wal::create(dir)?;
         // The base record (always seq 1) carries the full build dataset, so
         // recovery can re-derive the order maps before any partition opens.
-        journal.append(&JournalRecord {
-            seq: 1,
-            epoch_after: 0,
-            sessions: dataset.sessions.clone(),
-            posts: forum.posts.clone(),
-            ..JournalRecord::default()
-        })?;
+        let (base, written) =
+            wal.append(0, dataset.sessions, forum.posts, &IngestReport::default());
+        written?;
         let mut order = OrderMaps::new(ring.partitions());
-        let batches = ring.split(dataset.sessions, forum.posts, &mut order);
+        let batches = ring.split(base.sessions, base.posts, &mut order);
         let mut parts = Vec::new();
         for (p, (sessions, posts)) in batches.into_iter().enumerate() {
             parts.push(UsaasService::build_persistent(
@@ -981,15 +943,9 @@ impl PartitionedService {
         // through roll-forward, so its ledger flags are all-false.
         ledger.push_back((1, vec![false; ring.partitions()]));
         let persist = Some(Mutex::new(ClusterPersist {
-            dir: dir.to_path_buf(),
-            journal,
-            last_seq: 1,
-            live_records: 1,
-            oldest_live_seq: 1,
+            wal,
             ledger,
             base_count: vec![0; ring.partitions()],
-            compactions: 0,
-            records_compacted: 0,
         }));
         Ok(Self::assemble(parts, ring, order, workers, persist))
     }
@@ -1042,7 +998,7 @@ impl PartitionedService {
             )?);
         }
         let mut order = OrderMaps::new(partitions);
-        let mut totals = RouterTotals::default();
+        let mut totals = HealthTotals::default();
         let mut cluster_epoch = 0u64;
         let mut last_seq = 0u64;
         if let Some(s) = &snap {
@@ -1096,11 +1052,12 @@ impl PartitionedService {
                 }
             }
             if !pre_covered {
-                totals.quarantined += rec.quarantined.len();
-                totals.unfed += rec.unfed;
-                totals.breaker_trips += rec.breaker_trips;
-                totals.open_breakers = rec.open_breakers;
-                totals.dead_letters.extend(rec.quarantined);
+                totals.fold(
+                    rec.quarantined.into_iter(),
+                    rec.unfed,
+                    rec.breaker_trips,
+                    rec.open_breakers,
+                );
                 cluster_epoch = rec.epoch_after;
             }
             last_seq = last_seq.max(seq);
@@ -1153,7 +1110,7 @@ impl PartitionedService {
             }
         }
         totals.recovery_warnings.replace(warnings);
-        let journal = Journal::open_append(&dir.join(JOURNAL_FILE))?;
+        let wal = Wal::resume(dir, last_seq, live_records, oldest_live_seq)?;
         let snapshots: Vec<Arc<Generation>> = parts.iter().map(UsaasService::snapshot).collect();
         let snapshot = ClusterSnapshot::new(cluster_epoch, snapshots, Arc::new(order));
         Ok(PartitionedService {
@@ -1164,38 +1121,18 @@ impl PartitionedService {
             append_lock: Mutex::new(()),
             totals: Mutex::new(totals),
             persist: Some(Mutex::new(ClusterPersist {
-                dir: dir.to_path_buf(),
-                journal,
-                last_seq,
-                live_records,
-                oldest_live_seq,
+                wal,
                 ledger,
                 base_count,
-                compactions: 0,
-                records_compacted: 0,
             })),
         })
     }
 
+    /// Build every partition, one thread each.
     fn build_partitions(batches: Vec<PartitionBatch>, workers: usize) -> Vec<UsaasService> {
-        let mut slots: Vec<Option<UsaasService>> = Vec::new();
-        slots.resize_with(batches.len(), || None);
-        crossbeam::thread::scope(|scope| {
-            for (slot, (sessions, posts)) in slots.iter_mut().zip(batches) {
-                scope.spawn(move |_| {
-                    *slot = Some(UsaasService::build(
-                        CallDataset { sessions },
-                        Forum { posts },
-                        workers,
-                    ));
-                });
-            }
+        analytics::par::par_map_on(batches, |(sessions, posts)| {
+            UsaasService::build(CallDataset { sessions }, Forum { posts }, workers)
         })
-        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every spawned builder fills its slot"))
-            .collect()
     }
 
     fn assemble(
@@ -1213,7 +1150,7 @@ impl PartitionedService {
             workers,
             current: RwLock::new(Arc::new(snapshot)),
             append_lock: Mutex::new(()),
-            totals: Mutex::new(RouterTotals::default()),
+            totals: Mutex::new(HealthTotals::default()),
             persist,
         }
     }
@@ -1281,28 +1218,23 @@ impl PartitionedService {
         (self.query(query), self.health())
     }
 
-    /// Answer a batch of queries concurrently, one scoped worker per query;
-    /// results come back in input order. The whole batch pins **one**
-    /// cluster snapshot, so its answers are mutually consistent even if an
-    /// append commits mid-batch, and the workers share the epoch's merged
-    /// caches.
+    /// Answer a batch of queries concurrently: the batch splits into
+    /// contiguous runs, one scoped worker per run, at most `workers` of
+    /// them and no more than the machine has cores; results come back in
+    /// input order. The whole batch pins **one** cluster snapshot, so its
+    /// answers are mutually consistent even if an append commits
+    /// mid-batch, and the workers share the epoch's merged caches.
     pub fn query_batch(&self, queries: &[Query]) -> Vec<Result<Answer, UsaasError>> {
         let snapshot = self.snapshot();
-        let mut results: Vec<Option<Result<Answer, UsaasError>>> = Vec::new();
-        results.resize_with(queries.len(), || None);
-        crossbeam::thread::scope(|scope| {
-            for (slot, query) in results.iter_mut().zip(queries) {
-                let snapshot = &snapshot;
-                scope.spawn(move |_| {
-                    *slot = Some(snapshot.query(query));
-                });
-            }
+        analytics::par::par_map_ranges(queries.len(), self.workers, 1, |range| {
+            queries[range]
+                .iter()
+                .map(|q| snapshot.query(q))
+                .collect::<Vec<_>>()
         })
-        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-        results
-            .into_iter()
-            .map(|slot| slot.expect("every spawned worker fills its slot"))
-            .collect()
+        .into_iter()
+        .flatten()
+        .collect()
     }
 
     /// Ingest `sources` through the resilient streaming engine at the
@@ -1344,25 +1276,10 @@ impl PartitionedService {
                 flags[self.ring.partition_of(p.author_id)] = true;
             }
             let mut state = persist.lock();
-            let record = JournalRecord {
-                seq: state.last_seq + 1,
-                epoch_after: base.epoch + u64::from(will_commit),
-                sessions,
-                posts,
-                quarantined: report.quarantined.clone(),
-                unfed: report.unfed,
-                breaker_trips: report.breaker_trips,
-                open_breakers: report.open_breakers(),
-            };
-            match state.journal.append(&record) {
-                Ok(()) => {
-                    state.last_seq = record.seq;
-                    state.live_records += 1;
-                    if state.oldest_live_seq == 0 {
-                        state.oldest_live_seq = record.seq;
-                    }
-                    state.ledger.push_back((record.seq, flags));
-                }
+            let epoch_after = base.epoch + u64::from(will_commit);
+            let (record, written) = state.wal.append(epoch_after, sessions, posts, &report);
+            match written {
+                Ok(()) => state.ledger.push_back((record.seq, flags)),
                 Err(e) => {
                     will_commit = false;
                     self.totals.lock().recovery_warnings.push(format!(
@@ -1375,35 +1292,20 @@ impl PartitionedService {
             sessions = record.sessions;
             posts = record.posts;
         }
-        self.note_report(&report);
+        self.totals.lock().note_report(&report);
         if will_commit {
             let mut order = (*base.order).clone();
             let batches = self.ring.split(sessions, posts, &mut order);
-            let part_reports: Vec<Option<IngestReport>> = {
-                let mut slots: Vec<Option<Option<IngestReport>>> = Vec::new();
-                slots.resize_with(self.parts.len(), || None);
-                crossbeam::thread::scope(|scope| {
-                    for ((slot, part), (sessions, posts)) in
-                        slots.iter_mut().zip(&self.parts).zip(batches)
-                    {
-                        scope.spawn(move |_| {
-                            // Empty sub-batches are skipped so the
-                            // partition's epoch advances only on batches
-                            // the recovery roll-forward will count.
-                            *slot = Some(if sessions.is_empty() && posts.is_empty() {
-                                None
-                            } else {
-                                Some(part.append_batch(sessions, posts))
-                            });
-                        });
-                    }
-                })
-                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-                slots
-                    .into_iter()
-                    .map(|slot| slot.expect("every spawned appender fills its slot"))
-                    .collect()
-            };
+            // One thread per partition. Empty sub-batches are skipped so
+            // the partition's epoch advances only on batches the recovery
+            // roll-forward will count.
+            let part_reports: Vec<Option<IngestReport>> = analytics::par::par_map_on(
+                self.parts.iter().zip(batches).collect(),
+                |(part, (sessions, posts))| {
+                    (!sessions.is_empty() || !posts.is_empty())
+                        .then(|| part.append_batch(sessions, posts))
+                },
+            );
             for (p, part_report) in part_reports.into_iter().enumerate() {
                 let Some(mut pr) = part_report else { continue };
                 report.stored += pr.stored;
@@ -1432,33 +1334,7 @@ impl PartitionedService {
     /// [`PartitionedService::ingest_append`].
     pub fn append_batch(&self, sessions: Vec<SessionRecord>, posts: Vec<Post>) -> IngestReport {
         let cfg = IngestConfig::with_workers(self.workers);
-        let mut sources: Vec<Box<dyn Source>> = Vec::new();
-        if !sessions.is_empty() {
-            let items: Vec<RawItem> = sessions
-                .into_iter()
-                .map(|s| RawItem::Session(Box::new(s)))
-                .collect();
-            sources.push(Box::new(ItemSource::new("append-sessions", items)));
-        }
-        if !posts.is_empty() {
-            let items: Vec<RawItem> = posts
-                .into_iter()
-                .map(|p| RawItem::Post(Box::new(p)))
-                .collect();
-            sources.push(Box::new(ItemSource::new("append-posts", items)));
-        }
-        self.ingest_append(sources, &cfg)
-    }
-
-    fn note_report(&self, report: &IngestReport) {
-        let mut totals = self.totals.lock();
-        totals.quarantined += report.quarantined.len();
-        totals.unfed += report.unfed;
-        totals.breaker_trips += report.breaker_trips;
-        totals.open_breakers = report.open_breakers();
-        totals
-            .dead_letters
-            .extend(report.quarantined.iter().cloned());
+        self.ingest_append(trusted_sources(sessions, posts), &cfg)
     }
 
     /// Aggregated cluster health: router totals folded with every
@@ -1513,19 +1389,7 @@ impl PartitionedService {
     /// [`PartitionedService::compact_root_log`] passes that dropped
     /// records since this handle opened.
     pub fn root_journal_stats(&self) -> Option<JournalStats> {
-        let persist = self.persist.as_ref()?;
-        let state = persist.lock();
-        let bytes = std::fs::metadata(state.dir.join(JOURNAL_FILE))
-            .map(|m| m.len())
-            .unwrap_or(0);
-        Some(JournalStats {
-            bytes,
-            records: state.live_records,
-            oldest_live_seq: state.oldest_live_seq,
-            last_seq: state.last_seq,
-            compactions: state.compactions,
-            records_compacted: state.records_compacted,
-        })
+        Some(self.persist.as_ref()?.lock().wal.stats())
     }
 
     /// Merged journal observability — the root cluster log folded with
@@ -1667,7 +1531,7 @@ impl PartitionedService {
             // pushes append-failure warnings into totals under persist).
             let totals = self.totals.lock();
             ClusterSnapContents {
-                covered_seq: state.last_seq,
+                covered_seq: state.wal.last_seq(),
                 epoch: snapshot.epoch,
                 partitions,
                 batch_counts,
@@ -1683,18 +1547,16 @@ impl PartitionedService {
                 dead_letters_dropped: totals.dead_letters.dropped(),
             }
         };
-        write_cluster_snapshot(&state.dir, &contents)?;
+        let dir = state.wal.dir().to_path_buf();
+        write_cluster_snapshot(&dir, &contents)?;
         // Floor 1: the oldest retained cluster snapshot's coverage.
-        let snap_bound = cluster_snapshot_seqs(&state.dir)?
-            .last()
-            .copied()
-            .unwrap_or(0);
+        let snap_bound = cluster_snapshot_seqs(&dir)?.last().copied().unwrap_or(0);
         // Floor 2: every partition's oldest retained full snapshot seq
         // (always present — a persisted partition writes snapshot-0 at
         // build time).
         let mut floors = Vec::with_capacity(partitions);
         for p in 0..partitions {
-            let floor = snapshot_seqs(&state.dir.join(format!("part-{p}")))?
+            let floor = snapshot_seqs(&dir.join(format!("part-{p}")))?
                 .last()
                 .copied()
                 .unwrap_or(0);
@@ -1719,24 +1581,18 @@ impl PartitionedService {
             }
         }
         if safe_seq == 0 {
-            let bytes = std::fs::metadata(state.dir.join(JOURNAL_FILE))
-                .map(|m| m.len())
-                .unwrap_or(0);
+            let stats = state.wal.stats();
             return Ok(CompactionReport {
                 safe_seq: 0,
-                kept_records: state.live_records,
+                kept_records: stats.records,
                 dropped_records: 0,
-                oldest_live_seq: state.oldest_live_seq,
-                bytes_before: bytes,
-                bytes_after: bytes,
+                oldest_live_seq: stats.oldest_live_seq,
+                bytes_before: stats.bytes,
+                bytes_after: stats.bytes,
             });
         }
-        let report = compact_journal_file(&state.dir, safe_seq)?;
+        let report = state.wal.compact(safe_seq)?;
         if report.dropped_records > 0 {
-            // The rewrite replaced the inode the append handle points at.
-            state.journal = Journal::open_append(&state.dir.join(JOURNAL_FILE))?;
-            state.live_records = report.kept_records;
-            state.oldest_live_seq = report.oldest_live_seq;
             while let Some(&(seq, _)) = state.ledger.front() {
                 if seq > safe_seq {
                     break;
@@ -1746,8 +1602,6 @@ impl PartitionedService {
                     *count += u64::from(hit);
                 }
             }
-            state.compactions += 1;
-            state.records_compacted += report.dropped_records;
         }
         Ok(report)
     }
@@ -1844,6 +1698,72 @@ mod tests {
     use super::*;
     use conference::dataset::{generate, DatasetConfig};
     use social::generator::{generate as gen_forum, ForumConfig};
+
+    #[test]
+    fn a_batch_whose_cluster_log_append_fails_is_not_counted() {
+        let dir = std::env::temp_dir().join(format!("usaas-cluster-{}-abort", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let dataset = generate(&DatasetConfig::small(40, 4));
+        let cluster =
+            PartitionedService::build_persistent(dataset, Forum::default(), 4, 1, &dir).unwrap();
+        let queries = [
+            Query::EngagementCurve {
+                sweep: conference::records::NetworkMetric::LatencyMs,
+                engagement: EngagementMetric::Presence,
+                bins: 4,
+            },
+            Query::MosCorrelation,
+        ];
+        let answers = |c: &PartitionedService| -> Vec<String> {
+            queries
+                .iter()
+                .map(|q| format!("{:?}", c.query(q)))
+                .collect()
+        };
+        let part_epochs = |c: &PartitionedService| -> Vec<u64> {
+            c.parts.iter().map(UsaasService::epoch).collect()
+        };
+        let part_records = |c: &PartitionedService| -> Vec<u64> {
+            c.parts
+                .iter()
+                .map(|p| p.journal_stats().expect("persisted partition").records)
+                .collect()
+        };
+        let before = (
+            cluster.signal_counts(),
+            part_epochs(&cluster),
+            part_records(&cluster),
+            answers(&cluster),
+        );
+        cluster.persist.as_ref().unwrap().lock().wal.journal =
+            Journal::read_only(&dir.join(JOURNAL_FILE)).unwrap();
+        let extra = generate(&DatasetConfig::small(12, 6)).sessions;
+        let report = cluster.append_batch(extra, Vec::new());
+        assert!(report.stored > 0, "the batch was normalised");
+        assert_eq!(cluster.epoch(), 0, "the commit was aborted");
+        assert_eq!(part_epochs(&cluster), before.1, "no partition committed");
+        assert_eq!(cluster.signal_counts(), before.0);
+        assert_eq!(part_records(&cluster), before.2, "no partition journaled");
+        assert!(cluster
+            .health()
+            .recovery_warnings
+            .iter()
+            .any(|w| w.contains("batch not committed")));
+        drop(cluster);
+        let reopened = PartitionedService::open_or_recover(&dir, 1).unwrap();
+        assert_eq!(reopened.epoch(), 0);
+        assert_eq!(
+            (
+                reopened.signal_counts(),
+                part_epochs(&reopened),
+                part_records(&reopened),
+                answers(&reopened),
+            ),
+            before,
+            "a restart agrees"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn a_partition_given_no_post_shares_its_forum() {

@@ -73,14 +73,14 @@ impl EmergingTopicMiner {
     /// [`EmergingTopicMiner::mine`] over a pre-tokenized corpus: each
     /// post's engagement-weighted unigrams are tallied once, by interned
     /// id, into a per-day table, and the window slides over those tables
-    /// ([`Slide`]). All window/history weights are sums of integer-valued
+    /// (`Slide`). All window/history weights are sums of integer-valued
     /// engagement weights, so every share and novelty ratio is computed on
     /// exactly the same values as the string oracle; detections are
     /// identical, and same-day flags are ordered by term (both sort with
-    /// [`sort_detections`]).
+    /// `sort_detections`).
     ///
-    /// Implemented as [`EmergingTopicMiner::mine_start`] +
-    /// [`EmergingTopicMiner::mine_run`] — the resumable core the
+    /// Implemented as `EmergingTopicMiner::mine_start` +
+    /// `EmergingTopicMiner::mine_run` — the resumable core the
     /// incremental [`crate::views::EmergingTopicsView`] carries across
     /// epochs.
     pub fn mine_interned(

@@ -36,7 +36,7 @@
 //! the service that never crashed (pinned by `tests/persist_recovery.rs`).
 
 use crate::chunks::Chunks;
-use crate::ingest::{QuarantineEntry, QuarantineReason};
+use crate::ingest::{IngestReport, QuarantineEntry, QuarantineReason};
 use crate::predict::FeatureSet;
 use crate::service::SessionChunks;
 use crate::signals::{ExplicitSignal, ImplicitSignal, NetworkHint, Payload, Signal, SocialSignal};
@@ -1363,7 +1363,7 @@ impl Journal {
 
 impl Journal {
     /// Open (creating if needed) the journal for appending.
-    pub(crate) fn open_append(path: &Path) -> std::io::Result<Journal> {
+    fn open_append(path: &Path) -> std::io::Result<Journal> {
         let file = fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -1372,7 +1372,7 @@ impl Journal {
     }
 
     /// Append one record durably.
-    pub(crate) fn append(&mut self, record: &JournalRecord) -> std::io::Result<()> {
+    fn append(&mut self, record: &JournalRecord) -> std::io::Result<()> {
         let payload = record.encode();
         let mut frame = Vec::with_capacity(payload.len() + RECORD_HEADER as usize);
         frame.extend_from_slice(&RECORD_MAGIC.to_le_bytes());
@@ -1550,10 +1550,7 @@ pub struct CompactionReport {
 /// The caller must hold the append lock: the rename replaces the inode
 /// under any open append handle, so the handle must be reopened before
 /// the next append.
-pub(crate) fn compact_journal_file(
-    dir: &Path,
-    keep_after: u64,
-) -> Result<CompactionReport, PersistError> {
+fn compact_journal_file(dir: &Path, keep_after: u64) -> Result<CompactionReport, PersistError> {
     let path = dir.join(JOURNAL_FILE);
     let mut report = CompactionReport {
         safe_seq: keep_after,
@@ -1599,6 +1596,136 @@ pub(crate) fn compact_journal_file(
     report.bytes_after = out.len() as u64;
     write_atomic(dir, JOURNAL_TMP, &path, &[], &out)?;
     Ok(report)
+}
+
+/// The write-ahead log of one persist directory: the open [`Journal`]
+/// handle plus the bookkeeping behind [`JournalStats`]. The single service
+/// and the cluster router each own one; it assigns record seqs, counts the
+/// live records, and reopens the handle after a compaction rewrite, so no
+/// caller touches the journal file or its counters directly.
+#[derive(Debug)]
+pub(crate) struct Wal {
+    dir: PathBuf,
+    /// The append handle; crate-visible only so unit tests can swap in a
+    /// failing [`Journal::read_only`] handle.
+    pub(crate) journal: Journal,
+    /// Sequence of the newest record (0 before the first append).
+    /// Monotonic and independent of the epoch: a run that quarantined
+    /// everything journals without committing a generation.
+    last_seq: u64,
+    /// Records currently live in the file (appends increment, compaction
+    /// resets to the survivor count).
+    live_records: u64,
+    /// Seq of the oldest record still in the file (0 when empty).
+    oldest_live_seq: u64,
+    /// Compaction passes that actually dropped records.
+    compactions: u64,
+    /// Total records dropped across all compaction passes.
+    records_compacted: u64,
+}
+
+impl Wal {
+    /// Open (creating if needed) an empty journal in `dir`.
+    pub(crate) fn create(dir: &Path) -> std::io::Result<Wal> {
+        Wal::resume(dir, 0, 0, 0)
+    }
+
+    /// Resume appending in `dir` after recovery: the repaired journal
+    /// holds `live_records` records starting at `oldest_live_seq`, and
+    /// the recovered state covers every seq through `last_seq`.
+    pub(crate) fn resume(
+        dir: &Path,
+        last_seq: u64,
+        live_records: u64,
+        oldest_live_seq: u64,
+    ) -> std::io::Result<Wal> {
+        Ok(Wal {
+            dir: dir.to_path_buf(),
+            journal: Journal::open_append(&dir.join(JOURNAL_FILE))?,
+            last_seq,
+            live_records,
+            oldest_live_seq,
+            compactions: 0,
+            records_compacted: 0,
+        })
+    }
+
+    /// The persist directory the log lives in.
+    pub(crate) fn dir(&self) -> &Path {
+        &self.dir
+    }
+
+    /// Sequence of the newest durable record (0 before the first).
+    pub(crate) fn last_seq(&self) -> u64 {
+        self.last_seq
+    }
+
+    /// Journal one ingest run as the next record — the accepted `sessions`
+    /// and `posts`, landing on `epoch_after`, plus the run's quarantine and
+    /// health deltas — written and fsynced before the caller commits. On
+    /// success the record counts as live. The record comes back either
+    /// way, so the caller gets its batch back without a copy: on `Err` it
+    /// must not commit (`record.seq` names the seq that failed), since
+    /// memory would then hold a batch a restart cannot replay.
+    pub(crate) fn append(
+        &mut self,
+        epoch_after: u64,
+        sessions: Vec<SessionRecord>,
+        posts: Vec<Post>,
+        report: &IngestReport,
+    ) -> (JournalRecord, std::io::Result<()>) {
+        let record = JournalRecord {
+            seq: self.last_seq + 1,
+            epoch_after,
+            sessions,
+            posts,
+            quarantined: report.quarantined.clone(),
+            unfed: report.unfed,
+            breaker_trips: report.breaker_trips,
+            open_breakers: report.open_breakers(),
+        };
+        let written = self.journal.append(&record);
+        if written.is_ok() {
+            self.last_seq = record.seq;
+            self.live_records += 1;
+            if self.oldest_live_seq == 0 {
+                self.oldest_live_seq = record.seq;
+            }
+        }
+        (record, written)
+    }
+
+    /// Observability: bytes on disk, live records, and the counters.
+    pub(crate) fn stats(&self) -> JournalStats {
+        let bytes = fs::metadata(self.dir.join(JOURNAL_FILE))
+            .map(|m| m.len())
+            .unwrap_or(0);
+        JournalStats {
+            bytes,
+            records: self.live_records,
+            oldest_live_seq: self.oldest_live_seq,
+            last_seq: self.last_seq,
+            compactions: self.compactions,
+            records_compacted: self.records_compacted,
+        }
+    }
+
+    /// Drop every record with `seq <= safe_seq` (see
+    /// [`compact_journal_file`]). A pass that drops records reopens the
+    /// append handle — the rewrite replaced the inode it pointed at — and
+    /// moves the live counts to the survivors. The caller must hold its
+    /// append lock.
+    pub(crate) fn compact(&mut self, safe_seq: u64) -> Result<CompactionReport, PersistError> {
+        let report = compact_journal_file(&self.dir, safe_seq)?;
+        if report.dropped_records > 0 {
+            self.journal = Journal::open_append(&self.dir.join(JOURNAL_FILE))?;
+            self.live_records = report.kept_records;
+            self.oldest_live_seq = report.oldest_live_seq;
+            self.compactions += 1;
+            self.records_compacted += report.dropped_records;
+        }
+        Ok(report)
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -21,9 +21,11 @@ use crate::frame::SessionFrame;
 use crate::fulcrum::{FulcrumAnalysis, MonthlyPoint};
 use crate::ingest::{self, IngestConfig, IngestReport, QuarantineEntry};
 use crate::outage::DetectedOutage;
+#[cfg(test)]
+use crate::persist::Journal;
 use crate::persist::{
-    self, CompactionReport, Journal, JournalRecord, JournalStats, PersistError, PersistedHealth,
-    SnapshotContents, JOURNAL_FILE,
+    self, CompactionReport, JournalStats, PersistError, PersistedHealth, SnapshotContents, Wal,
+    JOURNAL_FILE,
 };
 use crate::predict::{self, Evaluation, FeatureSet};
 use crate::source::{ItemSource, RawItem, Source};
@@ -796,23 +798,25 @@ impl<T: Clone> BoundedLog<T> {
     }
 }
 
-/// Running health totals accumulated across ingestion runs.
+/// Running health totals accumulated across ingestion runs — the single
+/// service's, and the cluster router's for the damage its own ingest and
+/// cluster log record.
 #[derive(Debug)]
-struct HealthTotals {
-    quarantined: usize,
-    unfed: usize,
-    breaker_trips: usize,
+pub(crate) struct HealthTotals {
+    pub(crate) quarantined: usize,
+    pub(crate) unfed: usize,
+    pub(crate) breaker_trips: usize,
     /// Sources whose breaker ended the *most recent* run open.
-    open_breakers: Vec<String>,
+    pub(crate) open_breakers: Vec<String>,
     /// The most recent quarantined items — the dead-letter queue,
     /// journaled and snapshotted so it survives restarts. Bounded:
     /// `quarantined` keeps the exact total while entries beyond
     /// [`DEAD_LETTER_CAP`] are evicted oldest-first.
-    dead_letters: BoundedLog<QuarantineEntry>,
+    pub(crate) dead_letters: BoundedLog<QuarantineEntry>,
     /// What recovery had to repair or skip (truncated journal tail,
     /// corrupt snapshot fallback, journal-write failures). Empty on a
     /// clean open; bounded by [`RECOVERY_WARNING_CAP`].
-    recovery_warnings: BoundedLog<String>,
+    pub(crate) recovery_warnings: BoundedLog<String>,
 }
 
 impl Default for HealthTotals {
@@ -825,6 +829,35 @@ impl Default for HealthTotals {
             dead_letters: BoundedLog::new(DEAD_LETTER_CAP),
             recovery_warnings: BoundedLog::new(RECOVERY_WARNING_CAP),
         }
+    }
+}
+
+impl HealthTotals {
+    /// Fold one run's ingest damage in — live from its report or replayed
+    /// from its journal record: the counts add, the quarantined items join
+    /// the dead-letter ring, and the run's open breakers replace the last.
+    pub(crate) fn fold(
+        &mut self,
+        quarantined: impl ExactSizeIterator<Item = QuarantineEntry>,
+        unfed: usize,
+        breaker_trips: usize,
+        open_breakers: Vec<String>,
+    ) {
+        self.quarantined += quarantined.len();
+        self.unfed += unfed;
+        self.breaker_trips += breaker_trips;
+        self.open_breakers = open_breakers;
+        self.dead_letters.extend(quarantined);
+    }
+
+    /// Fold a live run's damage in (see [`HealthTotals::fold`]).
+    pub(crate) fn note_report(&mut self, report: &IngestReport) {
+        self.fold(
+            report.quarantined.iter().cloned(),
+            report.unfed,
+            report.breaker_trips,
+            report.open_breakers(),
+        );
     }
 }
 
@@ -892,29 +925,15 @@ struct DiffBase {
     posts: usize,
 }
 
-/// Mutable persistence state: where the service lives on disk, the open
-/// journal handle, and the last journal sequence durably written.
+/// Mutable persistence state: the write-ahead log in the service's
+/// directory and the base of the next differential checkpoint.
 struct PersistState {
-    dir: PathBuf,
-    journal: Journal,
-    /// Sequence of the newest record in the journal (0 before the first
-    /// append). Monotonic and independent of the epoch: a run that
-    /// quarantined everything journals without committing a generation.
-    last_seq: u64,
+    wal: Wal,
     /// Base of the next differential checkpoint: set whenever this process
     /// writes a full snapshot, `None` before the first one (a reopened
     /// service starts with a full checkpoint rather than trusting a base
     /// it did not write).
     diff_base: Option<DiffBase>,
-    /// Records currently live in the journal file (appends increment,
-    /// compaction resets to the survivor count).
-    live_records: u64,
-    /// Seq of the oldest record still in the journal file (0 when empty).
-    oldest_live_seq: u64,
-    /// Compaction passes that actually dropped records.
-    compactions: u64,
-    /// Total records dropped across all compaction passes.
-    records_compacted: u64,
 }
 
 /// The service: a swappable current [`Generation`] holding every
@@ -979,16 +998,9 @@ impl UsaasService {
             });
         }
         let mut svc = UsaasService::build(dataset, forum, workers);
-        let journal = Journal::open_append(&dir.join(JOURNAL_FILE))?;
         svc.persist = Some(Mutex::new(PersistState {
-            dir: dir.to_path_buf(),
-            journal,
-            last_seq: 0,
+            wal: Wal::create(dir)?,
             diff_base: None,
-            live_records: 0,
-            oldest_live_seq: 0,
-            compactions: 0,
-            records_compacted: 0,
         }));
         svc.checkpoint()?;
         Ok(svc)
@@ -1079,14 +1091,12 @@ impl UsaasService {
                     record.seq, record.epoch_after
                 ));
             }
-            {
-                let mut totals = svc.health.lock();
-                totals.quarantined += record.quarantined.len();
-                totals.unfed += record.unfed;
-                totals.breaker_trips += record.breaker_trips;
-                totals.open_breakers = record.open_breakers;
-                totals.dead_letters.extend(record.quarantined);
-            }
+            svc.health.lock().fold(
+                record.quarantined.into_iter(),
+                record.unfed,
+                record.breaker_trips,
+                record.open_breakers,
+            );
             last_seq = record.seq;
         }
 
@@ -1111,18 +1121,12 @@ impl UsaasService {
             }
         }
 
-        let journal = Journal::open_append(&dir.join(JOURNAL_FILE))?;
+        let wal = Wal::resume(dir, last_seq, live_records, oldest_live_seq)?;
         svc.health.lock().recovery_warnings.replace(warnings);
         let mut svc = svc;
         svc.persist = Some(Mutex::new(PersistState {
-            dir: dir.to_path_buf(),
-            journal,
-            last_seq,
+            wal,
             diff_base: None,
-            live_records,
-            oldest_live_seq,
-            compactions: 0,
-            records_compacted: 0,
         }));
         Ok(svc)
     }
@@ -1159,10 +1163,10 @@ impl UsaasService {
                 rows - base.rows <= base.rows.max(1) && posts - base.posts <= base.posts.max(1);
             if small {
                 return persist::write_diff_snapshot(
-                    &state.dir,
+                    state.wal.dir(),
                     &persist::DiffContents {
                         epoch: generation.epoch,
-                        journal_seq: state.last_seq,
+                        journal_seq: state.wal.last_seq(),
                         base_seq: base.seq,
                         base_rows: base.rows,
                         base_posts: base.posts,
@@ -1200,11 +1204,12 @@ impl UsaasService {
         health: &PersistedHealth,
         view_keys: &[ViewKey],
     ) -> Result<PathBuf, PersistError> {
+        let seq = state.wal.last_seq();
         let path = persist::write_snapshot(
-            &state.dir,
+            state.wal.dir(),
             &SnapshotContents {
                 epoch: generation.epoch,
-                journal_seq: state.last_seq,
+                journal_seq: seq,
                 sessions: &generation.sessions,
                 posts: &generation.forum,
                 corpus: generation.social_corpus.get().map(Arc::as_ref),
@@ -1213,7 +1218,7 @@ impl UsaasService {
             },
         )?;
         state.diff_base = Some(DiffBase {
-            seq: state.last_seq,
+            seq,
             rows: generation.sessions.len(),
             posts: generation.forum.len(),
         });
@@ -1323,19 +1328,7 @@ impl UsaasService {
     /// count, oldest live seq, and compaction counters. `None` on an
     /// in-memory service.
     pub fn journal_stats(&self) -> Option<JournalStats> {
-        let persist = self.persist.as_ref()?;
-        let state = persist.lock();
-        let bytes = std::fs::metadata(state.dir.join(JOURNAL_FILE))
-            .map(|m| m.len())
-            .unwrap_or(0);
-        Some(JournalStats {
-            bytes,
-            records: state.live_records,
-            oldest_live_seq: state.oldest_live_seq,
-            last_seq: state.last_seq,
-            compactions: state.compactions,
-            records_compacted: state.records_compacted,
-        })
+        Some(self.persist.as_ref()?.lock().wal.stats())
     }
 
     /// Compact the write-ahead journal: drop every record already covered
@@ -1358,27 +1351,19 @@ impl UsaasService {
         };
         let _appending = self.append_lock.lock();
         let mut state = persist.lock();
-        let seqs = persist::snapshot_seqs(&state.dir)?;
+        let seqs = persist::snapshot_seqs(state.wal.dir())?;
         // `snapshot_seqs` is descending: the last entry is the oldest
         // retained full snapshot — the compaction safety bound.
         let Some(&safe_seq) = seqs.last() else {
             return Ok(CompactionReport::default());
         };
-        let report = persist::compact_journal_file(&state.dir, safe_seq)?;
-        if report.dropped_records > 0 {
-            // The old handle points at the replaced (unlinked) inode;
-            // reopen on the compacted file before any further append.
-            state.journal = Journal::open_append(&state.dir.join(JOURNAL_FILE))?;
-            state.live_records = report.kept_records;
-            state.oldest_live_seq = report.oldest_live_seq;
-            state.compactions += 1;
-            state.records_compacted += report.dropped_records;
-        }
-        Ok(report)
+        state.wal.compact(safe_seq)
     }
 
-    /// Answer a batch of queries concurrently, one scoped worker per query;
-    /// results come back in input order.
+    /// Answer a batch of queries concurrently: the batch splits into
+    /// contiguous runs, one scoped worker per run, at most `workers` of
+    /// them and no more than the machine has cores; results come back in
+    /// input order.
     ///
     /// The whole batch pins **one** generation snapshot, so its answers are
     /// mutually consistent even if an append commits mid-batch, and the
@@ -1388,21 +1373,15 @@ impl UsaasService {
     /// original payload.
     pub fn query_batch(&self, queries: &[Query]) -> Vec<Result<Answer, UsaasError>> {
         let generation = self.snapshot();
-        let mut results: Vec<Option<Result<Answer, UsaasError>>> = Vec::new();
-        results.resize_with(queries.len(), || None);
-        crossbeam::thread::scope(|scope| {
-            for (slot, query) in results.iter_mut().zip(queries) {
-                let generation = &generation;
-                scope.spawn(move |_| {
-                    *slot = Some(generation.query(query));
-                });
-            }
+        analytics::par::par_map_ranges(queries.len(), self.workers, 1, |range| {
+            queries[range]
+                .iter()
+                .map(|q| generation.query(q))
+                .collect::<Vec<_>>()
         })
-        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-        results
-            .into_iter()
-            .map(|slot| slot.expect("every spawned worker fills its slot"))
-            .collect()
+        .into_iter()
+        .flatten()
+        .collect()
     }
 
     /// Ingest `sources` through the resilient streaming engine
@@ -1450,37 +1429,20 @@ impl UsaasService {
         let mut will_commit = !sessions.is_empty() || !posts.is_empty();
         if let Some(persist) = &self.persist {
             let mut state = persist.lock();
-            let record = JournalRecord {
-                seq: state.last_seq + 1,
-                epoch_after: self.snapshot().epoch + u64::from(will_commit),
-                sessions,
-                posts,
-                quarantined: report.quarantined.clone(),
-                unfed: report.unfed,
-                breaker_trips: report.breaker_trips,
-                open_breakers: report.open_breakers(),
-            };
-            match state.journal.append(&record) {
-                Ok(()) => {
-                    state.last_seq = record.seq;
-                    state.live_records += 1;
-                    if state.oldest_live_seq == 0 {
-                        state.oldest_live_seq = record.seq;
-                    }
-                }
-                Err(e) => {
-                    // No durable record → no in-memory commit. Committing
-                    // anyway would serve answers from state a restart
-                    // cannot reproduce; aborting keeps the prior epoch's
-                    // generation — views, answer cache and all — live and
-                    // consistent with disk.
-                    will_commit = false;
-                    self.health.lock().recovery_warnings.push(format!(
-                        "journal append for seq {} failed; batch not committed so memory matches \
-                         disk — retry after the journal recovers: {e}",
-                        record.seq
-                    ));
-                }
+            let epoch_after = self.snapshot().epoch + u64::from(will_commit);
+            let (record, written) = state.wal.append(epoch_after, sessions, posts, &report);
+            if let Err(e) = written {
+                // No durable record → no in-memory commit. Committing
+                // anyway would serve answers from state a restart cannot
+                // reproduce; aborting keeps the prior epoch's generation —
+                // views, answer cache and all — live and consistent with
+                // disk.
+                will_commit = false;
+                self.health.lock().recovery_warnings.push(format!(
+                    "journal append for seq {} failed; batch not committed so memory matches \
+                     disk — retry after the journal recovers: {e}",
+                    record.seq
+                ));
             }
             sessions = record.sessions;
             posts = record.posts;
@@ -1488,7 +1450,7 @@ impl UsaasService {
         if will_commit {
             self.commit_locked(sessions, posts);
         }
-        self.note_report(&report);
+        self.health.lock().note_report(&report);
         report
     }
 
@@ -1496,22 +1458,7 @@ impl UsaasService {
     /// [`UsaasService::ingest_append`] with default resilience settings.
     pub fn append_batch(&self, sessions: Vec<SessionRecord>, posts: Vec<Post>) -> IngestReport {
         let cfg = IngestConfig::with_workers(self.workers);
-        let mut sources: Vec<Box<dyn Source>> = Vec::new();
-        if !sessions.is_empty() {
-            let items: Vec<RawItem> = sessions
-                .into_iter()
-                .map(|s| RawItem::Session(Box::new(s)))
-                .collect();
-            sources.push(Box::new(ItemSource::new("append-sessions", items)));
-        }
-        if !posts.is_empty() {
-            let items: Vec<RawItem> = posts
-                .into_iter()
-                .map(|p| RawItem::Post(Box::new(p)))
-                .collect();
-            sources.push(Box::new(ItemSource::new("append-posts", items)));
-        }
-        self.ingest_append(sources, &cfg)
+        self.ingest_append(trusted_sources(sessions, posts), &cfg)
     }
 
     /// Fold accepted items into a successor generation and swap it in.
@@ -1578,18 +1525,30 @@ impl UsaasService {
         );
         *self.current.write() = Arc::new(next);
     }
+}
 
-    /// Accumulate one run's degradation into the health totals.
-    fn note_report(&self, report: &IngestReport) {
-        let mut totals = self.health.lock();
-        totals.quarantined += report.quarantined.len();
-        totals.unfed += report.unfed;
-        totals.breaker_trips += report.breaker_trips;
-        totals.open_breakers = report.open_breakers();
-        totals
-            .dead_letters
-            .extend(report.quarantined.iter().cloned());
+/// The sources an `append_batch` feeds a trusted in-memory batch through:
+/// one per non-empty record kind, so an empty kind adds no source health.
+pub(crate) fn trusted_sources(
+    sessions: Vec<SessionRecord>,
+    posts: Vec<Post>,
+) -> Vec<Box<dyn Source>> {
+    let mut sources: Vec<Box<dyn Source>> = Vec::new();
+    if !sessions.is_empty() {
+        let items: Vec<RawItem> = sessions
+            .into_iter()
+            .map(|s| RawItem::Session(Box::new(s)))
+            .collect();
+        sources.push(Box::new(ItemSource::new("append-sessions", items)));
     }
+    if !posts.is_empty() {
+        let items: Vec<RawItem> = posts
+            .into_iter()
+            .map(|p| RawItem::Post(Box::new(p)))
+            .collect();
+        sources.push(Box::new(ItemSource::new("append-posts", items)));
+    }
+    sources
 }
 
 /// A single service behind the daemon: one persist unit (its own
@@ -1709,7 +1668,7 @@ mod tests {
         let dataset = generate(&DatasetConfig::small(20, 4));
         let svc = UsaasService::build_persistent(dataset, Forum::default(), 1, &dir).unwrap();
         let before = svc.signal_counts();
-        svc.persist.as_ref().unwrap().lock().journal =
+        svc.persist.as_ref().unwrap().lock().wal.journal =
             Journal::read_only(&dir.join(JOURNAL_FILE)).unwrap();
         let extra = generate(&DatasetConfig::small(5, 6)).sessions;
         let report = svc.append_batch(extra, Vec::new());
@@ -1880,15 +1839,25 @@ mod tests {
             },
             Query::DeploymentAdvice,
         ];
-        let batch = s.query_batch(&queries);
-        assert_eq!(batch.len(), queries.len());
-        for (q, parallel) in queries.iter().zip(&batch) {
-            let sequential = s.query(q);
-            assert_eq!(
-                format!("{parallel:?}"),
-                format!("{sequential:?}"),
-                "batch answer for {q:?} must match the sequential one"
-            );
+        // The second input is several times longer than the service's
+        // four workers, so each worker answers a run of queries.
+        let long: Vec<Query> = queries
+            .iter()
+            .cycle()
+            .take(3 * queries.len())
+            .cloned()
+            .collect();
+        for queries in [&queries, &long] {
+            let batch = s.query_batch(queries);
+            assert_eq!(batch.len(), queries.len());
+            for (q, parallel) in queries.iter().zip(&batch) {
+                let sequential = s.query(q);
+                assert_eq!(
+                    format!("{parallel:?}"),
+                    format!("{sequential:?}"),
+                    "batch answer for {q:?} must match the sequential one"
+                );
+            }
         }
     }
 

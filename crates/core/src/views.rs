@@ -6,7 +6,7 @@
 //! MOS analyses and the predictor, per-post sentiment scores and day series
 //! for the Fig. 5/6 social answers, latitude-band counts for the §6 planner.
 //! A [`View`] carries exactly that accumulator across epochs. When an
-//! append commits, [`ViewSet::advanced`] folds the batch into each carried
+//! append commits, `ViewSet::advanced` folds the batch into each carried
 //! accumulator as an **O(delta)** update — instead of the old
 //! epoch-invalidation discipline where every answer recomputed from scratch
 //! over the full corpus.
@@ -670,10 +670,10 @@ pub(crate) fn regional_demand(counts: [f64; 9]) -> Option<RegionalDemand> {
 
 /// Fig. 7 view: the memoized per-post work of the speed-trend pipeline —
 /// OCR downlink extraction and strong-sentiment classification
-/// ([`fulcrum::DocShot`]), indexed by document. The month loop itself
+/// (`fulcrum::DocShot`), indexed by document. The month loop itself
 /// (medians, subsample RNG, annotations) is cheap and order-sensitive, so
 /// the finishing pass re-runs it over the memo
-/// ([`FulcrumAnalysis::analyze_dated_shots`]): the loop structure — including
+/// (`FulcrumAnalysis::analyze_dated_shots`): the loop structure — including
 /// which months advance the subsample RNG — depends only on the shots, so
 /// the replay is bit-identical to the cold inline-extraction path. The
 /// memo is chunked like the posts, so an advance appends the batch's shots
@@ -744,7 +744,7 @@ fn doc_shots<'a>(
 }
 
 /// §4.1 view: a *settled* emerging-topic miner plus the finished
-/// detections. The settled [`MineState`] has evaluated every window that
+/// detections. The settled `MineState` has evaluated every window that
 /// ends before the forum's last day (`settled.end = last − 1`); the
 /// detections come from a clone of it run one window further, to `last`.
 /// The settled state has read no post dated after

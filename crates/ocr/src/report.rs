@@ -4,9 +4,9 @@
 //! Fast (powered by Netflix), Starlink itself, and others. We extract uplink
 //! speed, downlink speed, latency information, etc. using Azure's Optical
 //! Character Recognition."* [`SpeedTestReport`] is the ground truth behind
-//! one screenshot; the [`crate::render`] module lays it out provider-style,
+//! one screenshot; the [`crate::render`](mod@crate::render) module lays it out provider-style,
 //! [`crate::noise`] degrades it like a photographed screen, and
-//! [`crate::extract`] recovers the fields.
+//! [`crate::extract`](mod@crate::extract) recovers the fields.
 
 use analytics::time::Date;
 use serde::{Deserialize, Serialize};

@@ -7,7 +7,7 @@
 //! **exactly once** into compact `u32` token ids against a shared
 //! [`Vocab`], and the vocab carries ID-space side tables (valence,
 //! intensifier multiplier, negator/stop-word flags) compiled from the
-//! global [`Lexicon`]/[`STOPWORDS`] the moment a word is first interned.
+//! global [`Lexicon`]/[`STOPWORDS`](crate::tokenize::STOPWORDS) the moment a word is first interned.
 //! Scoring, n-gram counting, and keyword matching then become integer
 //! loops over `&[u32]` slices with zero per-token allocation:
 //!
