@@ -21,6 +21,11 @@
 //! carries a miner settled one day short of the last day, so the append
 //! costs one tail window rather than a re-mine of the whole forum.
 //!
+//! A fourth arm, `cross_network_10k`, prices the §5 flagship query on the
+//! 10k corpus: each iteration appends the fixed batch and asks
+//! `CrossNetwork`, which the carried view answers from running sums and
+//! its target rows, without materialising the session frame.
+//!
 //! Run with `BENCH_JSON=results/BENCH_views.json` (or via
 //! `scripts/bench_json.sh`) to export the medians.
 
@@ -28,6 +33,7 @@ use bench::bench_forum;
 use conference::dataset::{generate, DatasetConfig};
 use conference::records::{EngagementMetric, NetworkMetric, SessionRecord};
 use criterion::{criterion_group, criterion_main, Criterion};
+use netsim::access::AccessType;
 use social::post::Post;
 use std::hint::black_box;
 use usaas::{Query, UsaasService};
@@ -166,6 +172,23 @@ fn bench_views_incremental(c: &mut Criterion) {
         b.iter(|| {
             black_box(svc.append_batch(Vec::new(), same_day.clone()));
             black_box(svc.query(&Query::EmergingTopics)).ok();
+        })
+    });
+
+    // Cross-network arm: one fixed append, then the §5 query.
+    let svc = UsaasService::build(
+        generate(&DatasetConfig::small(10_000, 0xA11)),
+        forum.clone(),
+        WORKERS,
+    );
+    let cross = Query::CrossNetwork {
+        access: AccessType::SatelliteLeo,
+    };
+    let _ = svc.query(&cross);
+    group.bench_function("cross_network_10k", |b| {
+        b.iter(|| {
+            black_box(svc.append_batch(delta.clone(), Vec::new()));
+            black_box(svc.query(&cross)).ok();
         })
     });
     group.finish();

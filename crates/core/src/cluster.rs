@@ -41,8 +41,8 @@ use crate::persist::{
 };
 use crate::predict;
 use crate::service::{
-    merged_range, trusted_sources, Answer, CrossNetworkReport, Generation, HealthTotals, Query,
-    QueryKey, ServiceHealth, UsaasError, UsaasService,
+    cross_network_report, merged_range, trusted_sources, Answer, CrossNetworkColumns, Generation,
+    HealthTotals, Query, QueryKey, ServiceHealth, UsaasError, UsaasService,
 };
 use crate::source::{RawItem, Source};
 use crate::views::{regional_demand, SentimentView, View, ViewKey};
@@ -424,7 +424,7 @@ impl ClusterSnapshot {
                 let (_, eval) = predict::train_and_evaluate_vals(&feats, &ratings, *features, 4)?;
                 Ok(Answer::Prediction(eval))
             }
-            Query::OutageTimeline => Ok(Answer::Outages(self.merged_outages()?)),
+            Query::OutageTimeline => Ok(Answer::Outages(self.merged_outages()?.to_vec())),
             Query::SentimentPeaks { k } => self.sentiment_peaks(*k),
             Query::SpeedTrend => self.speed_trend(),
             Query::EmergingTopics => self.emerging_topics(),
@@ -463,7 +463,7 @@ impl ClusterSnapshot {
     /// range, then peaks found once with the single detector's thresholds.
     /// `OutageTimeline` and `CrossNetwork` read it on both the serving and
     /// the fresh path, as they read the shared detections on one service.
-    fn merged_outages(&self) -> Result<Vec<DetectedOutage>, UsaasError> {
+    fn merged_outages(&self) -> Result<&[DetectedOutage], UsaasError> {
         self.outages
             .get_or_init(|| {
                 let views = scatter(&self.parts, |_, g| g.view(ViewKey::Outage))
@@ -478,11 +478,12 @@ impl ClusterSnapshot {
                 )?;
                 Ok(OutageDetector::default().detections_in(&series))
             })
-            .clone()
+            .as_deref()
+            .map_err(Clone::clone)
     }
 
     /// §5 cross-network: gather the session columns in global order and
-    /// replay the single service's join verbatim.
+    /// run the single service's report body over them.
     fn cross_network(&self, access: AccessType) -> Result<Answer, UsaasError> {
         let rows: Vec<Vec<CnRow>> = scatter(&self.parts, |_, g| {
             let frame = g.frame();
@@ -497,49 +498,21 @@ impl ClusterSnapshot {
                 .collect()
         });
         let rows = merged(&self.order.sessions, rows);
-        let target_mask = kernels::RowMask::from_fn(rows.len(), |i| rows[i].0 == access);
-        if target_mask.count() == 0 {
-            return Err(UsaasError::NoData("no sessions on the requested network"));
-        }
-        let others_mask = kernels::RowMask::from_fn(rows.len(), |i| rows[i].0 != access);
-        let target: Vec<usize> = (0..rows.len()).filter(|&i| target_mask.get(i)).collect();
-        let presence_col: Vec<f64> = rows.iter().map(|r| r.1).collect();
-        let mic_col: Vec<f64> = rows.iter().map(|r| r.2).collect();
-        let cam_col: Vec<f64> = rows.iter().map(|r| r.3).collect();
-        let dates: Vec<Date> = rows.iter().map(|r| r.4).collect();
-        let ratings: Vec<f64> = target
-            .iter()
-            .filter_map(|&i| rows[i].5)
-            .map(f64::from)
-            .collect();
-        let detections: Vec<DetectedOutage> = self
-            .merged_outages()?
-            .iter()
-            .filter(|d| d.score >= 10.0)
-            .copied()
-            .collect();
-        let outage_presence: Vec<f64> = target
-            .iter()
-            .filter(|&&i| detections.iter().any(|d| d.date == dates[i]))
-            .map(|&i| presence_col[i])
-            .collect();
-        let outage_days_joined = detections
-            .iter()
-            .filter(|d| target.iter().any(|&i| dates[i] == d.date))
-            .count();
-        let masked_mean = |col: &[f64], mask: &kernels::RowMask| {
-            kernels::masked_mean(col, mask).ok_or(AnalyticsError::Empty)
+        let access_col: Vec<AccessType> = rows.iter().map(|r| r.0).collect();
+        let presence: Vec<f64> = rows.iter().map(|r| r.1).collect();
+        let mic: Vec<f64> = rows.iter().map(|r| r.2).collect();
+        let cam: Vec<f64> = rows.iter().map(|r| r.3).collect();
+        let date: Vec<Date> = rows.iter().map(|r| r.4).collect();
+        let rating: Vec<Option<u8>> = rows.iter().map(|r| r.5).collect();
+        let cols = CrossNetworkColumns {
+            access: &access_col,
+            presence: &presence,
+            mic: &mic,
+            cam: &cam,
+            date: &date,
+            rating: &rating,
         };
-        Ok(Answer::CrossNetwork(CrossNetworkReport {
-            sessions: target.len(),
-            mean_presence: masked_mean(&presence_col, &target_mask)?,
-            others_presence: masked_mean(&presence_col, &others_mask).unwrap_or(f64::NAN),
-            mean_mic_on: masked_mean(&mic_col, &target_mask)?,
-            mean_cam_on: masked_mean(&cam_col, &target_mask)?,
-            mos: analytics::mean(&ratings).ok(),
-            outage_day_presence: analytics::mean(&outage_presence).ok(),
-            outage_days_joined,
-        }))
+        cross_network_report(access, &cols, || self.merged_outages()).map(Answer::CrossNetwork)
     }
 
     /// §6 deployment advice: the partitions' cold [`ViewKey::Deployment`]
@@ -1579,17 +1552,6 @@ impl PartitionedService {
             } else {
                 break;
             }
-        }
-        if safe_seq == 0 {
-            let stats = state.wal.stats();
-            return Ok(CompactionReport {
-                safe_seq: 0,
-                kept_records: stats.records,
-                dropped_records: 0,
-                oldest_live_seq: stats.oldest_live_seq,
-                bytes_before: stats.bytes,
-                bytes_after: stats.bytes,
-            });
         }
         let report = state.wal.compact(safe_seq)?;
         if report.dropped_records > 0 {

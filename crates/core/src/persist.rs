@@ -282,6 +282,10 @@ fn put_view_key(w: &mut Writer, key: ViewKey) {
         ViewKey::Deployment => w.put_u8(8),
         ViewKey::SpeedTrend => w.put_u8(9),
         ViewKey::EmergingTopics => w.put_u8(10),
+        ViewKey::CrossNetwork { access } => {
+            w.put_u8(11);
+            w.put_u8(access_tag(access));
+        }
     }
 }
 
@@ -312,6 +316,9 @@ fn get_view_key(r: &mut Reader<'_>) -> Result<ViewKey, bin::Error> {
         8 => ViewKey::Deployment,
         9 => ViewKey::SpeedTrend,
         10 => ViewKey::EmergingTopics,
+        11 => ViewKey::CrossNetwork {
+            access: access_from_tag(r.get_u8()?)?,
+        },
         _ => return Err(bin::Error::Corrupt("unknown view-key tag")),
     })
 }
@@ -1715,7 +1722,22 @@ impl Wal {
     /// append handle — the rewrite replaced the inode it pointed at — and
     /// moves the live counts to the survivors. The caller must hold its
     /// append lock.
+    ///
+    /// A pass that cannot drop anything — `safe_seq` is 0, the log holds
+    /// no live record, or `safe_seq` lies below the oldest live seq —
+    /// reports from [`Wal::stats`] without opening the file.
     pub(crate) fn compact(&mut self, safe_seq: u64) -> Result<CompactionReport, PersistError> {
+        if self.oldest_live_seq == 0 || safe_seq < self.oldest_live_seq {
+            let stats = self.stats();
+            return Ok(CompactionReport {
+                safe_seq,
+                kept_records: stats.records,
+                dropped_records: 0,
+                oldest_live_seq: stats.oldest_live_seq,
+                bytes_before: stats.bytes,
+                bytes_after: stats.bytes,
+            });
+        }
         let report = compact_journal_file(&self.dir, safe_seq)?;
         if report.dropped_records > 0 {
             self.journal = Journal::open_append(&self.dir.join(JOURNAL_FILE))?;
@@ -2130,6 +2152,44 @@ mod tests {
             panic!("expected implicit");
         };
         assert_eq!(i.session.latent_quality.to_bits(), 0x7FF8_0000_0000_BEEF);
+    }
+
+    #[test]
+    fn a_pass_with_nothing_to_drop_never_opens_the_journal() {
+        let dir = tmp_dir("wal-nothing-to-drop");
+        let mut wal = Wal::create(&dir).unwrap();
+        for (i, chunk) in sample_sessions(10).chunks(2).enumerate() {
+            let (_, written) = wal.append(
+                i as u64 + 1,
+                chunk.to_vec(),
+                Vec::new(),
+                &IngestReport::default(),
+            );
+            written.unwrap();
+        }
+        assert_eq!(wal.compact(2).unwrap().dropped_records, 2);
+        // Seq 3 is now the oldest live record: safe seqs 0 and 2 drop
+        // nothing. The scanning passes read the file; the log's own pass
+        // reports the same from its counters.
+        let scanned: Vec<CompactionReport> = [0, 2]
+            .map(|safe| compact_journal_file(&dir, safe).unwrap())
+            .to_vec();
+        for report in &scanned {
+            assert_eq!(report.dropped_records, 0);
+            assert_eq!(report.kept_records, 3);
+            assert_eq!(report.oldest_live_seq, 3);
+            assert_eq!(wal.compact(report.safe_seq).unwrap(), *report);
+        }
+        fs::remove_file(dir.join(JOURNAL_FILE)).unwrap();
+        for report in &scanned {
+            let unread = wal.compact(report.safe_seq).unwrap();
+            assert_eq!(unread.safe_seq, report.safe_seq);
+            assert_eq!(unread.kept_records, report.kept_records);
+            assert_eq!(unread.dropped_records, 0);
+            assert_eq!(unread.oldest_live_seq, report.oldest_live_seq);
+            assert_eq!(unread.bytes_before, unread.bytes_after);
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -2767,6 +2827,83 @@ mod tests {
         assert!(v1.view_keys.is_empty());
         assert_eq!(v1.sessions, v2.sessions);
         assert_eq!(v1.posts, v2.posts);
+    }
+
+    #[test]
+    fn cross_network_view_keys_round_trip_as_tag_11() {
+        for access in AccessType::ALL {
+            let key = ViewKey::CrossNetwork { access };
+            let mut w = Writer::new();
+            put_view_key(&mut w, key);
+            let bytes = w.into_bytes();
+            assert_eq!(bytes, vec![11, access_tag(access)]);
+            let mut r = Reader::new(&bytes);
+            assert_eq!(get_view_key(&mut r).unwrap(), key);
+            assert!(r.is_exhausted());
+        }
+        let mut r = Reader::new(&[11, 7]);
+        assert!(matches!(get_view_key(&mut r), Err(bin::Error::Corrupt(_))));
+    }
+
+    #[test]
+    fn a_recovered_service_rebuilds_its_cross_network_views() {
+        use crate::service::{Query, UsaasService};
+        let dir = tmp_dir("cross-network-recover");
+        let queries: Vec<Query> = [AccessType::SatelliteLeo, AccessType::Fiber]
+            .map(|access| Query::CrossNetwork { access })
+            .to_vec();
+        let mut cfg = ForumConfig::default();
+        cfg.end = cfg.start.offset(20);
+        cfg.authors = 60;
+        let answers: Vec<String> = {
+            let svc = UsaasService::build_persistent(
+                generate(&DatasetConfig::small(60, 21)),
+                gen_forum(&cfg),
+                2,
+                &dir,
+            )
+            .unwrap();
+            for q in &queries {
+                let _ = svc.query(q);
+            }
+            svc.append_batch(generate(&DatasetConfig::small(12, 22)).sessions, Vec::new());
+            svc.checkpoint_full().unwrap();
+            svc.append_batch(generate(&DatasetConfig::small(12, 23)).sessions, Vec::new());
+            queries
+                .iter()
+                .map(|q| format!("{:?}", svc.query(q)))
+                .collect()
+        };
+        let state = load_snapshot(&snapshot_path(&dir, 1)).unwrap();
+        for access in [AccessType::SatelliteLeo, AccessType::Fiber] {
+            assert!(state.view_keys.contains(&ViewKey::CrossNetwork { access }));
+        }
+        let recovered = UsaasService::open_or_recover(&dir, 2).unwrap();
+        assert!(recovered.health().recovery_warnings.is_empty());
+        let generation = recovered.snapshot();
+        assert_eq!(generation.views().keys(), state.view_keys);
+        for (q, before) in queries.iter().zip(&answers) {
+            let served = format!("{:?}", recovered.query(q));
+            assert_eq!(&served, before, "{q:?}");
+            assert_eq!(served, format!("{:?}", generation.answer_fresh(q)), "{q:?}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn legacy_fixture_key_lists_encode_unchanged() {
+        // Tag 11 is new; the tags the v2 and v3 writers used keep their
+        // bytes, so each fixture's trailing key list re-encodes verbatim.
+        for (fixture, version) in [(V2_FIXTURE, 2), (V3_FIXTURE, 3)] {
+            let legacy = decode_snapshot(&fixture[24..], version).unwrap();
+            assert!(!legacy.view_keys.is_empty());
+            let mut keys = Writer::new();
+            keys.put_u64(legacy.view_keys.len() as u64);
+            for &key in &legacy.view_keys {
+                put_view_key(&mut keys, key);
+            }
+            assert!(fixture.ends_with(&keys.into_bytes()), "v{version}");
+        }
     }
 
     /// Offset of the frame section's row count in a v1–v3 payload: just

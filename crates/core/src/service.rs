@@ -30,8 +30,8 @@ use crate::persist::{
 use crate::predict::{self, Evaluation, FeatureSet};
 use crate::source::{ItemSource, RawItem, Source};
 use crate::views::{
-    CurveView, DeploymentView, EmergingTopicsView, GridView, MosView, OutageView, PlatformView,
-    PredictView, SentimentView, SpeedTrendView, View, ViewDelta, ViewKey, ViewSet,
+    CrossNetworkView, CurveView, DeploymentView, EmergingTopicsView, GridView, MosView, OutageView,
+    PlatformView, PredictView, SentimentView, SpeedTrendView, View, ViewDelta, ViewKey, ViewSet,
 };
 use analytics::binning::BinnedCurve;
 use analytics::time::Date;
@@ -44,7 +44,7 @@ use sentiment::corpus::TokenCorpus;
 use serde::Serialize;
 use social::post::{Forum, Post};
 use starlink::constellation::{DeploymentPlanner, Recommendation, RegionalDemand};
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
@@ -151,6 +151,83 @@ pub struct CrossNetworkReport {
     pub outage_days_joined: usize,
 }
 
+/// The session columns the §5 join reads, each in row order.
+pub(crate) struct CrossNetworkColumns<'a> {
+    pub access: &'a [AccessType],
+    pub presence: &'a [f64],
+    pub mic: &'a [f64],
+    pub cam: &'a [f64],
+    pub date: &'a [Date],
+    pub rating: &'a [Option<u8>],
+}
+
+/// The §5 report over session columns, the one body behind the single
+/// service's and the cluster router's fresh answers. The access column
+/// compiles to a packed row mask and the means run branchless over it
+/// (`kernels::masked_mean` is bit-identical to gathering the selected rows
+/// in row order and folding — see the `analytics::kernels` module docs).
+/// `detections` runs only once a target row is known to exist, so a
+/// network with no sessions answers `NoData` before any detection error.
+pub(crate) fn cross_network_report<'d>(
+    access: AccessType,
+    cols: &CrossNetworkColumns<'_>,
+    detections: impl FnOnce() -> Result<&'d [DetectedOutage], UsaasError>,
+) -> Result<CrossNetworkReport, UsaasError> {
+    let rows = cols.access.len();
+    let target_mask = kernels::RowMask::from_fn(rows, |i| cols.access[i] == access);
+    if target_mask.count() == 0 {
+        return Err(UsaasError::NoData("no sessions on the requested network"));
+    }
+    let others_mask = kernels::RowMask::from_fn(rows, |i| cols.access[i] != access);
+    let target: Vec<usize> = (0..rows).filter(|&i| target_mask.get(i)).collect();
+    let ratings: Vec<f64> = target
+        .iter()
+        .filter_map(|&i| cols.rating[i])
+        .map(f64::from)
+        .collect();
+    let (outage_day_presence, outage_days_joined) = outage_day_join(
+        detections()?,
+        target.iter().map(|&i| (cols.date[i], cols.presence[i])),
+    );
+    let masked_mean = |col: &[f64], mask: &kernels::RowMask| {
+        kernels::masked_mean(col, mask).ok_or(AnalyticsError::Empty)
+    };
+    Ok(CrossNetworkReport {
+        sessions: target.len(),
+        mean_presence: masked_mean(cols.presence, &target_mask)?,
+        others_presence: masked_mean(cols.presence, &others_mask).unwrap_or(f64::NAN),
+        mean_mic_on: masked_mean(cols.mic, &target_mask)?,
+        mean_cam_on: masked_mean(cols.cam, &target_mask)?,
+        mos: analytics::mean(&ratings).ok(),
+        outage_day_presence,
+        outage_days_joined,
+    })
+}
+
+/// The §5 social-outage join over the target rows' `(date, presence)` in
+/// row order. Only strong spikes (`score >= 10`, major outages) join —
+/// transient local outages do not degrade the whole satellite population.
+/// Returns the mean presence of the target rows dated on a strong-outage
+/// day and the number of strong detections with a target row on their
+/// date. Both sides meet through date sets: O(rows + detections).
+pub(crate) fn outage_day_join(
+    detections: &[DetectedOutage],
+    target: impl Iterator<Item = (Date, f64)>,
+) -> (Option<f64>, usize) {
+    let strong: Vec<&DetectedOutage> = detections.iter().filter(|d| d.score >= 10.0).collect();
+    let days: HashSet<Date> = strong.iter().map(|d| d.date).collect();
+    let mut joined = HashSet::new();
+    let mut presence = Vec::new();
+    for (date, p) in target {
+        if days.contains(&date) {
+            joined.insert(date);
+            presence.push(p);
+        }
+    }
+    let outage_days_joined = strong.iter().filter(|d| joined.contains(&d.date)).count();
+    (analytics::mean(&presence).ok(), outage_days_joined)
+}
+
 /// Typed answers.
 #[derive(Debug, Clone)]
 pub enum Answer {
@@ -255,9 +332,10 @@ impl QueryKey {
     }
 }
 
-/// Which materialized view (if any) backs a query. `OutageTimeline` and
-/// `CrossNetwork` return `None` here but still share the
-/// [`ViewKey::Outage`] view through [`Generation::outage_detections`].
+/// Which materialized view (if any) backs a query. `OutageTimeline`
+/// returns `None` here but still reads the [`ViewKey::Outage`] view's
+/// memoized detections through [`Generation::outage_detections`], as the
+/// `CrossNetwork` view's finish does.
 fn view_key_of(query: &Query) -> Option<ViewKey> {
     match *query {
         Query::EngagementCurve {
@@ -279,7 +357,8 @@ fn view_key_of(query: &Query) -> Option<ViewKey> {
         Query::DeploymentAdvice => Some(ViewKey::Deployment),
         Query::SpeedTrend => Some(ViewKey::SpeedTrend),
         Query::EmergingTopics => Some(ViewKey::EmergingTopics),
-        Query::OutageTimeline | Query::CrossNetwork { .. } => None,
+        Query::CrossNetwork { access } => Some(ViewKey::CrossNetwork { access }),
+        Query::OutageTimeline => None,
     }
 }
 
@@ -331,10 +410,11 @@ pub struct Generation {
     /// a post-free append shares it by reference and an append with posts
     /// clones and grows it (existing ids never move).
     social_corpus: OnceLock<Arc<TokenCorpus>>,
-    /// Default-detector outage run, computed once and shared by the
-    /// `OutageTimeline` and `CrossNetwork` queries (both need the same
-    /// detection pass; the corpus is immutable within a generation).
-    outage_cache: OnceLock<Result<Vec<DetectedOutage>, UsaasError>>,
+    /// This generation's [`ViewKey::Outage`] view, pinned on first use so
+    /// [`Generation::outage_detections`] can lend out the view's memoized
+    /// detections. `OutageTimeline` and the `CrossNetwork` finish share
+    /// that one detection pass, and a post-free commit carries it.
+    outage_cache: OnceLock<Result<Arc<View>, UsaasError>>,
     /// Memoized answers: every aggregate is a pure function of this
     /// generation's immutable corpus, so each distinct query computes once
     /// per epoch and repeats are cloned from the cache.
@@ -431,18 +511,20 @@ impl Generation {
         self.date_range
     }
 
-    /// The shared default-detector outage detections, computed on first use
-    /// as the finishing pass of the [`ViewKey::Outage`] view (installed
-    /// here when absent, so appends carry the keyword series forward
-    /// instead of re-scanning the corpus).
+    /// The shared default-detector outage detections: the memoized finish
+    /// of the [`ViewKey::Outage`] view (installed here when absent, so
+    /// appends carry the keyword series forward instead of re-scanning the
+    /// corpus, and post-free appends carry the detections too).
     fn outage_detections(&self) -> Result<&[DetectedOutage], UsaasError> {
-        self.outage_cache
-            .get_or_init(|| match &*self.view(ViewKey::Outage)? {
-                View::Outage(v) => Ok(v.finish()?),
-                _ => unreachable!("ViewKey::Outage holds an outage view"),
-            })
-            .as_deref()
-            .map_err(Clone::clone)
+        let view = self
+            .outage_cache
+            .get_or_init(|| self.view(ViewKey::Outage))
+            .as_ref()
+            .map_err(Clone::clone)?;
+        match &**view {
+            View::Outage(v) => v.detections().map_err(|e| e.clone().into()),
+            _ => unreachable!("ViewKey::Outage holds an outage view"),
+        }
     }
 
     /// The materialized views installed on this generation (read access —
@@ -539,6 +621,9 @@ impl Generation {
                 &self.forum,
                 self.social_corpus(),
             )),
+            ViewKey::CrossNetwork { access } => {
+                View::CrossNetwork(CrossNetworkView::rebuild(&self.sessions, access))
+            }
         })
     }
 
@@ -579,6 +664,9 @@ impl Generation {
                 Ok(Answer::Speeds(v.finish(&self.forum, first, last)?))
             }
             (View::EmergingTopics(v), Query::EmergingTopics) => Ok(Answer::Topics(v.finish()?)),
+            (View::CrossNetwork(v), Query::CrossNetwork { .. }) => {
+                Ok(Answer::CrossNetwork(v.finish(|| self.outage_detections())?))
+            }
             _ => self.answer_uncached(query),
         }
     }
@@ -665,63 +753,19 @@ impl Generation {
         }
     }
 
-    /// §5 flagship query implementation, aggregated over frame columns:
-    /// the access column compiles to a packed row mask, and the per-column
-    /// means run branchless over it (`kernels::masked_mean` is bit-identical
-    /// to gathering the selected rows in session order and folding — see the
-    /// `analytics::kernels` module docs), so the report matches the
-    /// per-record walk it replaced to the bit.
+    /// §5 flagship query over the frame's columns (the fresh reference
+    /// path; the served path finishes the [`ViewKey::CrossNetwork`] view).
     fn cross_network(&self, access: AccessType) -> Result<CrossNetworkReport, UsaasError> {
         let frame = self.frame();
-        let target_mask = kernels::RowMask::from_fn(frame.len(), |i| frame.access()[i] == access);
-        if target_mask.count() == 0 {
-            return Err(UsaasError::NoData("no sessions on the requested network"));
-        }
-        let others_mask = kernels::RowMask::from_fn(frame.len(), |i| frame.access()[i] != access);
-        let target: Vec<usize> = (0..frame.len()).filter(|&i| target_mask.get(i)).collect();
-        let presence_col = frame.engagement(EngagementMetric::Presence);
-        let mic_col = frame.engagement(EngagementMetric::MicOn);
-        let cam_col = frame.engagement(EngagementMetric::CamOn);
-        let ratings: Vec<f64> = target
-            .iter()
-            .filter_map(|&i| frame.rating()[i])
-            .map(f64::from)
-            .collect();
-
-        // Join: socially-detected outage days vs the telemetry. Only strong
-        // spikes (major outages) are joined — transient local outages do not
-        // degrade the whole satellite population. The detection pass itself
-        // is shared with `OutageTimeline` through the service cache.
-        let detections: Vec<DetectedOutage> = self
-            .outage_detections()?
-            .iter()
-            .filter(|d| d.score >= 10.0)
-            .copied()
-            .collect();
-        let dates = frame.date();
-        let outage_presence: Vec<f64> = target
-            .iter()
-            .filter(|&&i| detections.iter().any(|d| d.date == dates[i]))
-            .map(|&i| presence_col[i])
-            .collect();
-        let outage_days_joined = detections
-            .iter()
-            .filter(|d| target.iter().any(|&i| dates[i] == d.date))
-            .count();
-
-        let masked_mean = |col: &[f64], mask: &kernels::RowMask| {
-            kernels::masked_mean(col, mask).ok_or(AnalyticsError::Empty)
+        let cols = CrossNetworkColumns {
+            access: frame.access(),
+            presence: frame.engagement(EngagementMetric::Presence),
+            mic: frame.engagement(EngagementMetric::MicOn),
+            cam: frame.engagement(EngagementMetric::CamOn),
+            date: frame.date(),
+            rating: frame.rating(),
         };
-        Ok(CrossNetworkReport {
-            sessions: target.len(),
-            mean_presence: masked_mean(presence_col, &target_mask)?,
-            others_presence: masked_mean(presence_col, &others_mask).unwrap_or(f64::NAN),
-            mean_mic_on: masked_mean(mic_col, &target_mask)?,
-            mean_cam_on: masked_mean(cam_col, &target_mask)?,
-            mos: analytics::mean(&ratings).ok(),
-            outage_day_presence: analytics::mean(&outage_presence).ok(),
-            outage_days_joined,
-        })
+        cross_network_report(access, &cols, || self.outage_detections())
     }
 
     /// Convert per-country strong-negative social volume into the planner's
@@ -1977,6 +2021,47 @@ mod tests {
             first, second,
             "repeat queries must reuse the cached detection pass"
         );
+    }
+
+    #[test]
+    fn carried_cross_network_view_leaves_the_frame_unmaterialised() {
+        let s = UsaasService::build(
+            generate(&DatasetConfig::small(300, 5)),
+            gen_forum(&ForumConfig {
+                authors: 150,
+                end: Date::from_ymd(2021, 2, 15).unwrap(),
+                ..ForumConfig::default()
+            }),
+            2,
+        );
+        let q = Query::CrossNetwork {
+            access: AccessType::SatelliteLeo,
+        };
+        let _ = s.query(&q).unwrap();
+        let base = s.snapshot();
+        assert!(base
+            .views
+            .get(&ViewKey::CrossNetwork {
+                access: AccessType::SatelliteLeo
+            })
+            .is_some());
+        let detections = base.outage_detections().unwrap().as_ptr();
+
+        let extra = generate(&DatasetConfig::small(40, 6)).sessions;
+        assert!(extra.iter().any(|r| r.access == AccessType::SatelliteLeo));
+        s.append_batch(extra, Vec::new());
+        let next = s.snapshot();
+        let served = format!("{:?}", next.query(&q));
+        assert!(
+            next.frame.get().is_none(),
+            "the carried view answers without materialising the frame"
+        );
+        assert_eq!(
+            next.outage_detections().unwrap().as_ptr(),
+            detections,
+            "a post-free commit carries the memoized detections"
+        );
+        assert_eq!(served, format!("{:?}", next.answer_fresh(&q)));
     }
 
     #[test]

@@ -37,6 +37,9 @@
 //!   rescan; day series are re-embedded into the widened date range
 //!   ([`DailySeries::embedded`]) and new posts added — exact integer
 //!   arithmetic, so the sums match a cold build.
+//! - The cross-network view carries running sums over one access
+//!   network's rows and the rest, plus the target rows themselves
+//!   ([`CrossNetworkView`] says why the sums match the masked kernels).
 
 use crate::annotate::{AnnotatedPeak, PeakAnnotator, SentimentSeries};
 use crate::chunks::{Chunks, PostRead};
@@ -46,6 +49,7 @@ use crate::frame::SessionFrame;
 use crate::fulcrum::{self, FulcrumAnalysis, MonthlyPoint};
 use crate::outage::{DetectedOutage, OutageDetector};
 use crate::predict::{self, Evaluation, FeatureSet};
+use crate::service::{outage_day_join, CrossNetworkReport, UsaasError};
 use analytics::binning::{BinSpec, BinnedCurve, SumBinner};
 use analytics::kernels;
 use analytics::time::Date;
@@ -53,13 +57,14 @@ use analytics::timeseries::DailySeries;
 use analytics::AnalyticsError;
 use conference::platform::Platform;
 use conference::records::{EngagementMetric, NetworkMetric, SessionRecord};
+use netsim::access::AccessType;
 use parking_lot::RwLock;
 use sentiment::analyzer::SentimentScores;
 use sentiment::corpus::{CompiledDict, TokenCorpus};
 use social::post::Post;
 use starlink::constellation::RegionalDemand;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Identity of one materialized view: which answer family it backs, plus
 /// the parameters that shape its accumulator. Everything needed to rebuild
@@ -108,6 +113,11 @@ pub enum ViewKey {
     SpeedTrend,
     /// §4.1 resumable emerging-topic miner state.
     EmergingTopics,
+    /// §5 cross-network join inputs for one access network.
+    CrossNetwork {
+        /// Access network of interest.
+        access: AccessType,
+    },
 }
 
 /// One committed batch. `sessions` is the delta itself — session-backed
@@ -522,11 +532,15 @@ fn embed_sentiment(
     })
 }
 
-/// Fig. 6 view: the keyword-occurrence day series behind outage detection.
+/// Fig. 6 view: the keyword-occurrence day series behind outage detection,
+/// plus its detections, found on first use. A post-free commit shares the
+/// view's `Arc`, so the memo rides along and the successor generation runs
+/// no peak search; an advance starts an empty memo.
 #[derive(Clone)]
 pub struct OutageView {
     docs_seen: usize,
     series: Result<DailySeries, AnalyticsError>,
+    detections: OnceLock<Result<Vec<DetectedOutage>, AnalyticsError>>,
 }
 
 impl OutageView {
@@ -539,6 +553,7 @@ impl OutageView {
         OutageView {
             docs_seen: forum.len(),
             series: OutageDetector::default().keyword_series_interned(forum, corpus, workers),
+            detections: OnceLock::new(),
         }
     }
 
@@ -570,6 +585,7 @@ impl OutageView {
         Some(OutageView {
             docs_seen: delta.forum.len(),
             series,
+            detections: OnceLock::new(),
         })
     }
 
@@ -578,11 +594,15 @@ impl OutageView {
         self.series.as_ref()
     }
 
-    /// Finishing pass: robust-z peaks of the carried series, mapped to
-    /// detections with the default detector's thresholds.
-    pub(crate) fn finish(&self) -> Result<Vec<DetectedOutage>, AnalyticsError> {
-        let series = self.series.as_ref().map_err(Clone::clone)?;
-        Ok(OutageDetector::default().detections_in(series))
+    /// Finishing pass, memoized: robust-z peaks of the carried series,
+    /// mapped to detections with the default detector's thresholds.
+    pub(crate) fn detections(&self) -> Result<&[DetectedOutage], &AnalyticsError> {
+        self.detections
+            .get_or_init(|| {
+                let series = self.series.as_ref().map_err(Clone::clone)?;
+                Ok(OutageDetector::default().detections_in(series))
+            })
+            .as_deref()
     }
 }
 
@@ -860,6 +880,116 @@ impl EmergingTopicsView {
     }
 }
 
+/// One target row of the §5 join: its date, presence and rating.
+type TargetRow = (Date, f64, Option<u8>);
+
+/// §5 view: the `CrossNetwork` join's inputs for one access network, folded
+/// from the session records in row order, so neither an advance nor the
+/// finish touches the column frame. The fresh path's means are
+/// `kernels::masked_mean`: one accumulator from `+0.0` that adds `+0.0` for
+/// each unselected row, which leaves a sum that is never `-0.0` unchanged.
+/// A running sum over the selected rows alone, continued across appends,
+/// is therefore the same fold to the bit. The ratings and the outage-day
+/// presences go through `analytics::mean` on both paths, gathered in row
+/// order from the carried target rows. The target rows are chunked, so an
+/// advance appends the batch's rows as one chunk.
+#[derive(Clone)]
+pub struct CrossNetworkView {
+    access: AccessType,
+    rows_seen: usize,
+    /// Presence, mic-on and cam-on sums over the target rows.
+    sums: [f64; 3],
+    /// Presence sum over every other row.
+    others_sum: f64,
+    /// Number of other rows.
+    others: usize,
+    target: Chunks<TargetRow>,
+}
+
+impl CrossNetworkView {
+    /// Cold rebuild: fold every session record in row order.
+    pub(crate) fn rebuild(
+        sessions: &Chunks<SessionRecord>,
+        access: AccessType,
+    ) -> CrossNetworkView {
+        let mut view = CrossNetworkView {
+            access,
+            rows_seen: 0,
+            sums: [0.0; 3],
+            others_sum: 0.0,
+            others: 0,
+            target: Chunks::default(),
+        };
+        let rows = view.fold(sessions.iter());
+        view.target = Chunks::from_vec(rows);
+        view
+    }
+
+    /// Fold `sessions` into the sums and return their target rows.
+    fn fold<'a>(&mut self, sessions: impl Iterator<Item = &'a SessionRecord>) -> Vec<TargetRow> {
+        let mut rows = Vec::new();
+        for s in sessions {
+            let presence = s.engagement(EngagementMetric::Presence);
+            if s.access == self.access {
+                self.sums[0] += presence;
+                self.sums[1] += s.engagement(EngagementMetric::MicOn);
+                self.sums[2] += s.engagement(EngagementMetric::CamOn);
+                rows.push((s.date, presence, s.rating));
+            } else {
+                self.others_sum += presence;
+                self.others += 1;
+            }
+            self.rows_seen += 1;
+        }
+        rows
+    }
+
+    fn advanced(&self, delta: &ViewDelta<'_>) -> Option<CrossNetworkView> {
+        if self.rows_seen != delta.rows_before {
+            return None;
+        }
+        let mut next = self.clone();
+        let rows = next.fold(delta.sessions.iter());
+        next.target = self.target.extended(rows);
+        Some(next)
+    }
+
+    /// Finishing pass: the means from the carried sums, then the outage
+    /// join over the target rows. `detections` runs only when a target row
+    /// exists, so errors come in the fresh path's order.
+    pub(crate) fn finish<'d>(
+        &self,
+        detections: impl FnOnce() -> Result<&'d [DetectedOutage], UsaasError>,
+    ) -> Result<CrossNetworkReport, UsaasError> {
+        let n = self.target.len();
+        if n == 0 {
+            return Err(UsaasError::NoData("no sessions on the requested network"));
+        }
+        let (outage_day_presence, outage_days_joined) =
+            outage_day_join(detections()?, self.target.iter().map(|r| (r.0, r.1)));
+        let ratings: Vec<f64> = self
+            .target
+            .iter()
+            .filter_map(|r| r.2)
+            .map(f64::from)
+            .collect();
+        let others_presence = match self.others {
+            0 => f64::NAN,
+            k => self.others_sum / k as f64,
+        };
+        Ok(CrossNetworkReport {
+            sessions: n,
+            mean_presence: self.sums[0] / n as f64,
+            others_presence,
+            mean_mic_on: self.sums[1] / n as f64,
+            mean_cam_on: self.sums[2] / n as f64,
+            mos: analytics::mean(&ratings).ok(),
+            outage_day_presence,
+            outage_days_joined,
+        })
+    }
+}
+
 /// One materialized view, tagged by answer family. Construction and
 /// finishing are dispatched by the service (which owns the per-query
 /// parameters); this enum owns the carry-forward.
@@ -885,6 +1015,8 @@ pub enum View {
     SpeedTrend(SpeedTrendView),
     /// §4.1 settled miner + tail detections.
     EmergingTopics(EmergingTopicsView),
+    /// §5 cross-network sums + target rows.
+    CrossNetwork(CrossNetworkView),
 }
 
 impl View {
@@ -898,7 +1030,8 @@ impl View {
             | View::Grid(GridView { rows_seen, .. })
             | View::Platform(PlatformView { rows_seen, .. })
             | View::Mos(MosView { rows_seen, .. })
-            | View::Predict(PredictView { rows_seen, .. }) => {
+            | View::Predict(PredictView { rows_seen, .. })
+            | View::CrossNetwork(CrossNetworkView { rows_seen, .. }) => {
                 return delta.sessions.is_empty() && *rows_seen == delta.rows_before;
             }
             View::Sentiment(SentimentView { docs_seen, .. })
@@ -930,6 +1063,7 @@ impl View {
             View::Deployment(v) => v.advanced(delta).map(View::Deployment),
             View::SpeedTrend(v) => v.advanced(delta).map(View::SpeedTrend),
             View::EmergingTopics(v) => v.advanced(delta).map(View::EmergingTopics),
+            View::CrossNetwork(v) => v.advanced(delta).map(View::CrossNetwork),
         };
         next.map(Arc::new)
     }

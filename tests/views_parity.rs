@@ -23,7 +23,7 @@ use conference::dataset::{generate, DatasetConfig};
 use conference::records::{CallDataset, EngagementMetric, NetworkMetric, SessionRecord};
 use netsim::access::AccessType;
 use social::generator::{generate as gen_forum, ForumConfig};
-use social::post::{Forum, Post};
+use social::post::{Forum, Post, PostTopic};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -441,4 +441,183 @@ fn recovered_views_match_cold_rebuild_across_kill_point() {
         }
     }
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// The served `CrossNetwork` answer equals a cold recompute, to the bit.
+fn assert_cross_network_fresh(svc: &UsaasService, access: AccessType, step: &str) {
+    let q = Query::CrossNetwork { access };
+    assert_eq!(
+        format!("{:?}", svc.query(&q)),
+        format!("{:?}", svc.snapshot().answer_fresh(&q)),
+        "cross-network answer diverged from a cold rebuild after {step}"
+    );
+}
+
+/// True when the current generation carries the `CrossNetwork` view.
+fn carries_cross_network(svc: &UsaasService, access: AccessType) -> bool {
+    svc.snapshot()
+        .views()
+        .keys()
+        .contains(&ViewKey::CrossNetwork { access })
+}
+
+/// A network with no session at build answers `NoData`; the view is still
+/// installed and carried, and target sessions appended later turn the
+/// error into an answer.
+#[test]
+fn cross_network_view_turns_no_data_into_an_answer() {
+    let access = AccessType::SatelliteLeo;
+    let target = |s: &SessionRecord| s.access == access;
+    let without = |sessions: &[SessionRecord]| -> Vec<SessionRecord> {
+        sessions.iter().filter(|s| !target(s)).cloned().collect()
+    };
+    let base = CallDataset {
+        sessions: without(&base_dataset().sessions),
+    };
+    assert!(extra_sessions_a().iter().any(target));
+    let batches = [
+        without(extra_sessions_b()),
+        extra_sessions_a().clone(),
+        extra_sessions_b().clone(),
+    ];
+    for workers in WORKER_COUNTS {
+        let svc = UsaasService::build(base.clone(), base_forum().clone(), workers);
+        assert!(svc.query(&Query::CrossNetwork { access }).is_err());
+        assert_cross_network_fresh(&svc, access, "build");
+        for (i, batch) in batches.iter().enumerate() {
+            svc.append_batch(batch.clone(), Vec::new());
+            assert!(carries_cross_network(&svc, access), "append {i}");
+            assert_cross_network_fresh(&svc, access, &format!("append {i}"));
+        }
+        assert!(svc.query(&Query::CrossNetwork { access }).is_ok());
+    }
+}
+
+/// Target sessions land on socially detected strong-outage days across
+/// several epochs, while post batches add a detection and then move it:
+/// the carried view joins each epoch's detections like a cold recompute.
+#[test]
+fn cross_network_view_joins_sessions_on_moving_strong_outage_days() {
+    let access = AccessType::SatelliteLeo;
+    let reports: Vec<Post> = base_forum()
+        .posts
+        .iter()
+        .filter(|p| p.topic == PostTopic::Outage)
+        .cloned()
+        .collect();
+    assert!(!reports.is_empty(), "the forum has outage reports");
+    let (first, _) = base_forum().date_range().expect("non-empty forum");
+    let spike_day = first.offset(60);
+    let spike = |day: Date, n: usize| -> Vec<Post> {
+        reports
+            .iter()
+            .cycle()
+            .take(n)
+            .cloned()
+            .map(|mut p| {
+                p.date = day;
+                p
+            })
+            .collect()
+    };
+    let strong_days = |svc: &UsaasService| -> Vec<Date> {
+        match svc.query(&Query::OutageTimeline) {
+            Ok(usaas::Answer::Outages(d)) => d
+                .iter()
+                .filter(|d| d.score >= 10.0)
+                .map(|d| d.date)
+                .collect(),
+            other => panic!("outage timeline: {other:?}"),
+        }
+    };
+    // Target sessions re-dated round-robin onto `days` (every row when
+    // there is no day to put them on).
+    let on_days = |days: &[Date], seed: u64| -> Vec<SessionRecord> {
+        generate(&DatasetConfig::small(60, seed))
+            .sessions
+            .into_iter()
+            .filter(|s| s.access == access)
+            .enumerate()
+            .map(|(i, mut s)| {
+                if !days.is_empty() {
+                    s.date = days[i % days.len()];
+                }
+                s
+            })
+            .collect()
+    };
+
+    for workers in WORKER_COUNTS {
+        let svc = UsaasService::build(base_dataset().clone(), base_forum().clone(), workers);
+        assert_cross_network_fresh(&svc, access, "build");
+        let mut seen = vec![strong_days(&svc)];
+
+        svc.append_batch(on_days(&seen[0], 101), Vec::new());
+        assert_cross_network_fresh(&svc, access, "sessions on the base days");
+
+        svc.append_batch(Vec::new(), spike(spike_day, 80));
+        seen.push(strong_days(&svc));
+        assert!(seen[1].contains(&spike_day), "{:?}", seen[1]);
+        assert!(carries_cross_network(&svc, access));
+        assert_cross_network_fresh(&svc, access, "a spike that adds a detection");
+
+        svc.append_batch(on_days(&seen[1], 102), Vec::new());
+        assert_cross_network_fresh(&svc, access, "sessions on the spike day");
+
+        // A larger spike the next day suppresses the first one.
+        let moved = spike_day.offset(1);
+        svc.append_batch(on_days(&[moved], 103), spike(moved, 200));
+        seen.push(strong_days(&svc));
+        assert!(
+            seen[2].contains(&moved) && !seen[2].contains(&spike_day),
+            "{:?}",
+            seen[2]
+        );
+        assert_cross_network_fresh(&svc, access, "a spike that moves the detection");
+
+        svc.append_batch(on_days(&seen[2], 104), Vec::new());
+        assert_cross_network_fresh(&svc, access, "sessions on the moved day");
+        match svc.query(&Query::CrossNetwork { access }) {
+            Ok(usaas::Answer::CrossNetwork(r)) => {
+                assert!(r.outage_days_joined >= 1, "{r:?}");
+                assert!(r.outage_day_presence.is_some(), "{r:?}");
+            }
+            other => panic!("cross network: {other:?}"),
+        }
+    }
+}
+
+/// A network that holds every session leaves the "others" mean empty
+/// (`NaN`) on both paths, until a batch with other networks arrives.
+#[test]
+fn cross_network_view_with_no_other_network_reports_nan() {
+    let access = AccessType::Fiber;
+    let all_target = |sessions: &[SessionRecord]| -> Vec<SessionRecord> {
+        sessions
+            .iter()
+            .cloned()
+            .map(|mut s| {
+                s.access = access;
+                s
+            })
+            .collect()
+    };
+    let base = CallDataset {
+        sessions: all_target(&base_dataset().sessions),
+    };
+    let others_nan = |svc: &UsaasService| match svc.query(&Query::CrossNetwork { access }) {
+        Ok(usaas::Answer::CrossNetwork(r)) => r.others_presence.is_nan(),
+        other => panic!("cross network: {other:?}"),
+    };
+    for workers in WORKER_COUNTS {
+        let svc = UsaasService::build(base.clone(), base_forum().clone(), workers);
+        assert!(others_nan(&svc));
+        assert_cross_network_fresh(&svc, access, "build");
+        svc.append_batch(all_target(extra_sessions_a()), Vec::new());
+        assert!(others_nan(&svc));
+        assert_cross_network_fresh(&svc, access, "a target-only append");
+        svc.append_batch(extra_sessions_b().clone(), Vec::new());
+        assert!(!others_nan(&svc));
+        assert_cross_network_fresh(&svc, access, "a mixed append");
+    }
 }
